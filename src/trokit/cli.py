@@ -45,7 +45,7 @@ from .commutative import (
     is_maximal_antisymmetric,
     recover_open_set,
 )
-from .linalg import Tolerance, adjoint, as_matrix, hs_norm
+from .linalg import Tolerance, adjoint, as_matrix
 from .morphisms import (
     LinearMap,
     cp_refutation,
@@ -53,9 +53,8 @@ from .morphisms import (
     is_selfadjoint_map,
     is_ternary_star_morphism,
 )
-from .ordering import classify, decompose
-from .tripotents import BlockCapError, enumerate_central_tripotents, leq, \
-    maximal_central_tripotents, meet
+from .ordering import classify
+from .tripotents import BlockCapError, enumerate_central_tripotents, leq, meet
 from .tro import Tro, TroError, closure_from_generators
 
 __all__ = ["main", "InputDocument", "ParseError", "parse_document", "format_matrix"]
@@ -273,16 +272,8 @@ def cmd_classify(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     rep.line(f"unorderable {'true' if info.unorderable else 'false'}")
     rep.line(f"maximal-indices {' '.join(str(i) for i in info.maximal_indices)}".rstrip())
     rep.line(f"decomposition-dims {info.decomposition_dims[0]} {info.decomposition_dims[1]}")
-    trips = enumerate_central_tripotents(z, tol, max_blocks=max_blocks)
-    negation = all(any(hs_norm(a.u + b.u) <= tol.cutoff(1.0) for b in trips) for a in trips)
-    rep.check("negation-closure", negation)
-    meets_ok = True
-    for a in trips:
-        for b in trips:
-            w = meet(a, b, host=z, tol=tol)
-            if not any(hs_norm(w.u - c.u) <= tol.cutoff(1.0) for c in trips):
-                meets_ok = False
-    rep.check("meet-closure", meets_ok)
+    rep.check("negation-closure", info.negation_closed)
+    rep.check("meet-closure", info.meet_closed)
     counts_ok = info.natural_cone_count == 3 ** info.center_dim
     rep.check("count-is-power-of-three", counts_ok)
     return rep.emit()
@@ -293,15 +284,9 @@ def cmd_cones(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     z = _build_tro(doc, tol)
     rep = Report("cones", digest, tol, seed)
     trips = enumerate_central_tripotents(z, tol, max_blocks=max_blocks)
-    maximal = maximal_central_tripotents(z, tol, max_blocks=max_blocks)
-
-    def key(u: np.ndarray) -> tuple:
-        return tuple(np.round(u.ravel(), 9).tolist())
-
-    maximal_keys = {key(m.u) for m in maximal}
     rep.line(f"count {len(trips)}")
     for i, tp in enumerate(trips):
-        flag = "true" if key(tp.u) in maximal_keys else "false"
+        flag = "true" if tp.has_full_support else "false"
         rep.line(f"tripotent {i} maximal {flag}")
         rep.lines.extend(format_matrix(tp.u))
     return rep.emit()

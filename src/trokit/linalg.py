@@ -246,12 +246,13 @@ def span_union(*spaces: Subspace, tol: Tolerance | float | None = None) -> Subsp
 
 def intersect(a: Subspace, b: Subspace,
               tol: Tolerance | float | None = None) -> Subspace:
-    """Intersection of two subspaces.
+    """Intersection of two subspaces, from their principal angles.
 
-    Computed from the Hermitian eigenproblem for the sum of the two
-    orthogonal projectors: eigenvectors with eigenvalue 2 (within a
-    tolerance-scaled gap) span the intersection.  The resulting vectors
-    are polished by projecting back onto the first subspace.
+    The SVD of ``Q_a* Q_b`` gives the principal vectors of ``a``; one
+    is kept when its sine, its residual against ``b``, is within the
+    cutoff, the same rule :meth:`Subspace.contains` applies.  Residuals
+    are taken directly rather than as ``sqrt(1 - cos^2)``, which loses
+    half the digits near zero angle.
     """
     t = Tolerance.of(tol)
     if a.ambient_dim != b.ambient_dim:
@@ -259,15 +260,12 @@ def intersect(a: Subspace, b: Subspace,
     d = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(d)
-    s = a.projector() + b.projector()
-    evals, evecs = np.linalg.eigh(s)
-    # eigenvalues live in [0, 2]; the intersection sits at exactly 2
-    gap = 1000.0 * t.eps
-    cols = evecs[:, evals >= 2.0 - gap]
-    if cols.shape[1] == 0:
-        return Subspace.zero(d)
-    polished = [a.project(cols[:, i].reshape(d, d)) for i in range(cols.shape[1])]
-    return orthonormalize(polished, dim=d, tol=t)
+    qa, qb = a.vecs, b.vecs
+    u, _, _ = np.linalg.svd(qa.conj() @ qb.T, full_matrices=False)
+    principal = u.T @ qa
+    sines = np.linalg.norm(principal - (principal @ qb.conj().T) @ qb, axis=1)
+    keep = principal[sines <= t.cutoff(1.0)]
+    return Subspace(d, keep.reshape(-1, d, d))
 
 
 def subspace_equal(a: Subspace, b: Subspace,

@@ -165,7 +165,8 @@ def is_ternary_star_morphism(t_map: LinearMap,
 def is_selfadjoint_map(t_map: LinearMap, tol: Tolerance | float | None = None) -> bool:
     t = Tolerance.of(tol or t_map.domain.tol)
     for b in t_map.domain.space.onb:
-        if hs_norm(t_map.apply(adjoint(b)) - adjoint(t_map.apply(b))) > t.cutoff(1.0):
+        tb = t_map.apply(b)
+        if hs_norm(t_map.apply(adjoint(b)) - adjoint(tb)) > t.cutoff(hs_norm(tb)):
             return False
     return True
 

@@ -29,9 +29,11 @@ from .linalg import (
 from .tro import Tro
 from .tripotents import (
     Tripotent,
-    enumerate_central_tripotents,
-    maximal_central_tripotents,
+    _sort_key,
+    center_atoms,
+    central_tripotents,
     meet,
+    sign_lattice_closed,
 )
 
 __all__ = [
@@ -128,7 +130,10 @@ def is_unorderable(z: Tro) -> bool:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Counts and invariants describing the natural orderings of a *-TRO."""
+    """Counts and invariants describing the natural orderings of a *-TRO.
+
+    ``negation_closed`` and ``meet_closed`` are certified from the atoms
+    of the center (see :func:`trokit.tripotents.sign_lattice_closed`)."""
 
     ambient_dim: int
     space_dim: int
@@ -141,24 +146,24 @@ class ClassificationReport:
     unorderable: bool
     maximal_indices: tuple[int, ...]
     decomposition_dims: tuple[int, int]
+    negation_closed: bool
+    meet_closed: bool
 
 
 def classify(z: Tro, tol: Tolerance | float | None = None,
              max_blocks: int = 12) -> ClassificationReport:
     """Full ordering classification of a *-TRO.
 
-    The decomposition dimensions are computed at each maximal tripotent
-    and verified to agree (they always do: maximal tripotents share the
+    The center's atoms are computed once; the tripotents are their sign
+    vectors and the maximal ones those with full support.  The
+    decomposition dimensions are computed at each maximal tripotent and
+    verified to agree (they always do: maximal tripotents share the
     same support projection)."""
     t = Tolerance.of(tol or z.tol)
-    from .tripotents import central_blocks
-
-    tripotents = enumerate_central_tripotents(z, t, max_blocks=max_blocks)
-    maximal = maximal_central_tripotents(z, t, max_blocks=max_blocks)
-    block_count = len(central_blocks(z, t)) if z.center.dim else 0
-    max_keys = {_key(m.u) for m in maximal}
-    maximal_indices = tuple(i for i, tp in enumerate(tripotents)
-                            if _key(tp.u) in max_keys)
+    atoms = center_atoms(z, t, max_blocks)
+    tripotents = central_tripotents(z, atoms, t)
+    maximal_indices = tuple(i for i, tp in enumerate(tripotents) if tp.has_full_support)
+    maximal = [tripotents[i] for i in maximal_indices]
     if maximal:
         seen: set[tuple[int, int]] = set()
         for m in maximal:
@@ -169,24 +174,23 @@ def classify(z: Tro, tol: Tolerance | float | None = None,
         decomposition = next(iter(seen))
     else:
         decomposition = (0, z.dim)
+    negation_closed, meet_closed = sign_lattice_closed(
+        [tp.signs for tp in tripotents], atoms.certified)
     return ClassificationReport(
         ambient_dim=z.ambient_dim,
         space_dim=z.dim,
         square_dim=z.square.dim,
         algebra_part_dim=z.alg_part.dim,
         center_dim=z.center.dim,
-        block_count=block_count,
+        block_count=len(atoms.projectors),
         natural_cone_count=len(tripotents),
         maximal_cone_count=len(maximal),
         unorderable=is_unorderable(z),
         maximal_indices=maximal_indices,
         decomposition_dims=decomposition,
+        negation_closed=negation_closed,
+        meet_closed=meet_closed,
     )
-
-
-def _key(u: np.ndarray) -> tuple:
-    flat = u.ravel()
-    return tuple(np.round(np.concatenate([flat.real, flat.imag]), 9).tolist())
 
 
 @dataclass(frozen=True)
@@ -265,7 +269,7 @@ def cone_intersection_is_meet(u: Tripotent, v: Tripotent, z: Tro,
         return True, None
     # on a diagonal host the cones are simplicial: compare ray sets
     def keyset(rays: list[np.ndarray]) -> set[tuple]:
-        return {_key(r) for r in rays}
+        return {_sort_key(r) for r in rays}
 
     common = keyset(rays_u) & keyset(rays_v)
     if common != keyset(rays_w):

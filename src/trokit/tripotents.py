@@ -9,14 +9,17 @@ elements acting as a unit on the center.
 
 Enumeration strategy: the selfadjoint part of the center is a commuting
 Hermitian family, so it is simultaneously block-diagonalized; every
-central element is a scalar on each joint eigenblock.  Candidate sign
-patterns in {-1, 0, 1}^blocks are then filtered by membership in the
-center subspace.  The pattern count is capped to keep enumeration at
-desk scale.
+central element is a scalar on each joint eigenblock.  Blocks whose
+values agree up to one sign form an atom, a minimal central tripotent.
+The atoms are pairwise orthogonal and span the center, so the central
+tripotents are exactly the sign vectors in {-1, 0, 1}^dim(center) over
+them, and order, meet, negation and maximality act on sign vectors.
+The joint block count is capped to keep enumeration at desk scale.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +34,13 @@ __all__ = [
     "leq",
     "meet",
     "central_blocks",
+    "CenterAtoms",
+    "atoms_certificate",
+    "center_atoms",
+    "central_tripotents",
     "enumerate_central_tripotents",
     "maximal_central_tripotents",
+    "sign_lattice_closed",
 ]
 
 # fixed seed for the generic combination used in the joint diagonalization;
@@ -56,10 +64,19 @@ def is_selfadjoint_tripotent(u: np.ndarray, tol: Tolerance | float | None = None
 @dataclass(frozen=True)
 class Tripotent:
     """A certified selfadjoint tripotent, flagged when it lies in the
-    center of its host."""
+    center of its host.  Enumerated central tripotents carry their sign
+    vector over the atoms of the center."""
 
     u: np.ndarray
     is_central: bool = False
+    signs: tuple[int, ...] | None = None
+
+    @property
+    def has_full_support(self) -> bool:
+        """True iff the sign vector has no zero entry: the maximal
+        central tripotents.  False for the zero tripotent of a trivial
+        center and for tripotents without a sign vector."""
+        return bool(self.signs) and 0 not in self.signs
 
     @staticmethod
     def certify(u: np.ndarray, host: Tro | None = None,
@@ -76,7 +93,8 @@ class Tripotent:
         return Tripotent(u=m, is_central=central)
 
     def negated(self) -> "Tripotent":
-        return Tripotent(u=-self.u, is_central=self.is_central)
+        signs = None if self.signs is None else tuple(-e for e in self.signs)
+        return Tripotent(u=-self.u, is_central=self.is_central, signs=signs)
 
     def projection_split(self) -> tuple[np.ndarray, np.ndarray]:
         """The unique orthogonal projections p, q with u = p - q, pq = 0."""
@@ -186,62 +204,139 @@ def central_blocks(z: Tro, tol: Tolerance | float | None = None) -> list[np.ndar
     return blocks
 
 
-def _pattern_space(z: Tro, blocks: list[np.ndarray]) -> np.ndarray:
-    """Block-value vectors of the selfadjoint center family (rows)."""
-    fam = _selfadjoint_family(z.center)
-    if not fam:
-        return np.zeros((0, len(blocks)))
-    rows = []
-    for h in fam:
-        rows.append([float(np.real(np.trace(q.conj().T @ h @ q) / q.shape[1]))
-                     for q in blocks])
-    return np.array(rows)
+@dataclass(frozen=True)
+class CenterAtoms:
+    """The minimal central tripotents ("atoms") of a *-TRO.
+
+    ``projectors`` are the joint eigenblock projectors ``P_b`` in the
+    order of :func:`central_blocks`.  Row b of ``layout`` gives the sign
+    of block b in each atom: at most one entry is nonzero, and a zero row
+    marks a block on which the whole center vanishes.  Atom i is
+    ``sum_b layout[b, i] P_b``; the central tripotent with sign vector
+    ``eps`` is ``sum_b (layout @ eps)[b] P_b``.  ``certified`` records
+    :func:`atoms_certificate` for the atoms.
+    """
+
+    projectors: tuple[np.ndarray, ...]
+    layout: np.ndarray
+    certified: bool
+
+    @property
+    def count(self) -> int:
+        return int(self.layout.shape[1])
+
+    def matrix(self, eps: tuple[int, ...] | np.ndarray) -> np.ndarray:
+        """The block-order sum ``sum_b alpha_b P_b`` for a sign vector."""
+        alpha = self.layout @ np.asarray(eps, dtype=float) + 0.0
+        return sum(a * p for a, p in zip(alpha, self.projectors))
+
+    def atoms(self) -> list[np.ndarray]:
+        return [self.matrix(e) for e in np.eye(self.count, dtype=int)]
 
 
-def enumerate_central_tripotents(z: Tro, tol: Tolerance | float | None = None,
-                                 max_blocks: int = 12) -> list[Tripotent]:
-    """All selfadjoint tripotents in the center of z, zero included.
+def atoms_certificate(atoms: list[np.ndarray], z: Tro,
+                      tol: Tolerance | float | None = None) -> bool:
+    """True iff the atoms are dim(center) selfadjoint central tripotents
+    with ``a_i a_j = 0`` for ``i != j``.
 
-    Deterministic: the result is sorted by rounded matrix entries, so
-    indices are stable across runs and platforms.
+    Orthogonal nonzero central elements are independent, so such atoms
+    span the center, and every central tripotent is ``sum_i eps_i a_i``
+    for exactly one ``eps in {-1, 0, 1}^c``.  With ``u = sum eps_i a_i``
+    and ``v = sum delta_i a_i`` the products reduce atom by atom:
+    ``-u`` has signs ``-eps``, ``(u v u + v u v) / 2`` has ``eps_i`` where
+    ``eps_i = delta_i`` and 0 elsewhere, and u is maximal iff ``eps`` has
+    full support.
     """
     t = Tolerance.of(tol or z.tol)
-    d = z.ambient_dim
-    zero = Tripotent(np.zeros((d, d), dtype=complex), is_central=True)
+    if len(atoms) != z.center.dim:
+        return False
+    for a in atoms:
+        if not (is_selfadjoint_tripotent(a, t) and z.center.contains(a, t)):
+            return False
+    for i, a in enumerate(atoms):
+        for b in atoms[i + 1:]:
+            if hs_norm(a @ b) > t.cutoff(hs_norm(a) * hs_norm(b)):
+                return False
+    return True
+
+
+def center_atoms(z: Tro, tol: Tolerance | float | None = None,
+                 max_blocks: int = 12) -> CenterAtoms:
+    """Group the joint eigenblocks of the center into its atoms.
+
+    Every central element is a scalar on each block; two blocks belong
+    to the same atom iff the values of the center family on them agree
+    up to one sign.  Blocks where the family vanishes belong to no atom.
+    """
+    t = Tolerance.of(tol or z.tol)
     if z.center.dim == 0:
-        return [zero]
+        return CenterAtoms((), np.zeros((0, 0), dtype=int), True)
     blocks = central_blocks(z, t)
     m = len(blocks)
     if m > max_blocks:
         raise BlockCapError(
             f"center splits into {m} joint eigenblocks; cap is {max_blocks}")
-    patterns = _pattern_space(z, blocks)
-    projectors = [q @ q.conj().T for q in blocks]
-    found: list[Tripotent] = []
-    for code in range(3 ** m):
-        alpha = np.zeros(m)
-        c = code
-        for b in range(m):
-            alpha[b] = float((c % 3) - 1)
-            c //= 3
-        # candidate must be a real combination of actual center directions
-        coeff, resid, _, _ = np.linalg.lstsq(patterns.T, alpha, rcond=None)
-        approx = patterns.T @ coeff
-        if np.linalg.norm(alpha - approx) > t.cutoff(1.0):
+    fam = _selfadjoint_family(z.center)
+    patterns = np.array([[np.real(np.trace(q.conj().T @ h @ q)) / q.shape[1] for h in fam]
+                         for q in blocks])
+    thr = np.sqrt(t.eps)
+    reps: list[np.ndarray] = []
+    layout = np.zeros((m, m), dtype=int)
+    for b, col in enumerate(patterns):
+        if np.linalg.norm(col) <= thr:
             continue
-        u = sum(a * p for a, p in zip(alpha, projectors))
-        if not isinstance(u, np.ndarray):
-            u = np.zeros((d, d), dtype=complex)
-        if not z.center.contains(u, t):
-            continue
-        found.append(Tripotent.certify(u, host=z, tol=t))
-    expected = 3 ** z.center.dim
-    if len(found) != expected:
+        for i, r in enumerate(reps):
+            if np.linalg.norm(col - r) <= thr:
+                layout[b, i] = 1
+                break
+            if np.linalg.norm(col + r) <= thr:
+                layout[b, i] = -1
+                break
+        else:
+            layout[b, len(reps)] = 1
+            reps.append(col)
+    if len(reps) != z.center.dim:
         raise RuntimeError(
-            f"central tripotent enumeration found {len(found)}, expected "
-            f"{expected} = 3^dim(center); joint-block refinement is suspect")
+            f"joint eigenblocks group into {len(reps)} atoms, expected "
+            f"{z.center.dim} = dim(center); joint-block refinement is suspect")
+    layout = layout[:, :len(reps)]
+    projectors = tuple(q @ q.conj().T for q in blocks)
+    unchecked = CenterAtoms(projectors, layout, False)
+    return CenterAtoms(projectors, layout, atoms_certificate(unchecked.atoms(), z, t))
+
+
+def central_tripotents(z: Tro, atoms: CenterAtoms,
+                       tol: Tolerance | float | None = None,
+                       maximal: bool = False) -> list[Tripotent]:
+    """The central tripotents over the given atoms, each certified and
+    carrying its sign vector; only the full-support ones when
+    ``maximal``.  Sorted by rounded matrix entries."""
+    t = Tolerance.of(tol or z.tol)
+    if atoms.count == 0:
+        zero = Tripotent(np.zeros((z.ambient_dim,) * 2, dtype=complex), True, ())
+        return [] if maximal else [zero]
+    found = []
+    for eps in itertools.product((-1, 1) if maximal else (-1, 0, 1), repeat=atoms.count):
+        tp = Tripotent.certify(atoms.matrix(eps), host=z, tol=t)
+        if not tp.is_central:
+            raise RuntimeError(
+                f"sign vector {eps} gives a tripotent outside the center; "
+                "joint-block refinement is suspect")
+        found.append(Tripotent(tp.u, True, eps))
     found.sort(key=lambda tp: _sort_key(tp.u))
     return found
+
+
+def enumerate_central_tripotents(z: Tro, tol: Tolerance | float | None = None,
+                                 max_blocks: int = 12) -> list[Tripotent]:
+    """All selfadjoint tripotents in the center of z, zero included:
+    the ``3^dim(center)`` sign vectors over the atoms.
+
+    Deterministic: the result is sorted by rounded matrix entries, so
+    indices are stable across runs and platforms.
+    """
+    t = Tolerance.of(tol or z.tol)
+    return central_tripotents(z, center_atoms(z, t, max_blocks), t)
 
 
 def _sort_key(u: np.ndarray) -> tuple:
@@ -253,22 +348,42 @@ def _sort_key(u: np.ndarray) -> tuple:
 
 def maximal_central_tripotents(z: Tro, tol: Tolerance | float | None = None,
                                max_blocks: int = 12) -> list[Tripotent]:
-    """Central tripotents acting as a unit on the center: u u c = c for
-    every central c.  These are exactly the maximal elements of the
-    tripotent order whenever the center is nonzero; for a trivial center
-    the list is empty (only the zero tripotent exists and it generates
-    no ordering).
+    """Central tripotents acting as a unit on the center: the sign
+    vectors with full support.  These are exactly the maximal elements
+    of the tripotent order whenever the center is nonzero; for a trivial
+    center the list is empty (only the zero tripotent exists and it
+    generates no ordering).
     """
     t = Tolerance.of(tol or z.tol)
-    if z.center.dim == 0:
-        return []
-    out = []
-    for tp in enumerate_central_tripotents(z, t, max_blocks=max_blocks):
-        uu = tp.u @ tp.u
-        ok = all(
-            hs_norm(uu @ c - c) <= t.cutoff(hs_norm(c))
-            for c in z.center.onb
-        )
-        if ok:
-            out.append(tp)
-    return out
+    return central_tripotents(z, center_atoms(z, t, max_blocks), t, maximal=True)
+
+
+def sign_lattice_closed(signs: list[tuple[int, ...]], certified: bool) -> tuple[bool, bool]:
+    """(negation-closed, meet-closed) for the central tripotents with the
+    given sign vectors over atoms whose certificate is ``certified``.
+
+    With certified atoms the negation of ``eps`` is ``-eps`` and the
+    meet of ``eps`` and ``delta`` keeps ``eps`` where the two agree (see
+    :func:`atoms_certificate`); each is looked up among the listed
+    vectors, for every vector and every pair.  Without the certificate
+    neither property is established.
+    """
+    s = np.asarray(signs, dtype=float).reshape(len(signs), -1)
+    n, c = s.shape
+    weights = 3.0 ** np.arange(c)
+    zero_code = (3 ** c - 1) // 2  # base-3 digits eps_k + 1
+    listed = np.zeros(3 ** c, dtype=bool)
+    listed[np.rint(s @ weights + zero_code).astype(np.int64)] = True
+
+    def all_listed(codes: np.ndarray) -> bool:
+        return bool(listed[np.rint(codes).astype(np.int64)].all())
+
+    negation = certified and all_listed(zero_code - s @ weights)
+    # on {-1, 0, 1} the meet is (eps |delta| + eps^2 delta) / 2 entrywise,
+    # so the codes of all meets with one block of rows are one matrix product
+    left = np.hstack([s * weights, s * s * weights])
+    right = np.hstack([np.abs(s), s]).T
+    rows = max(1, (1 << 20) // max(1, n))
+    meets = certified and all(all_listed(left[i:i + rows] @ right / 2 + zero_code)
+                              for i in range(0, n, rows))
+    return negation, meets

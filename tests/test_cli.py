@@ -98,6 +98,31 @@ def test_classify_corner_is_unorderable(capsys):
     assert report_value(out, "maximal-cone-count") == "0"
 
 
+def test_classify_corner_at_loose_tol_has_no_algebra_part(capsys):
+    # span{E12, E21} meets its square span{E11, E22} only in 0
+    code, out = run(capsys, "--tol", "1e-3", "classify", fixture("offdiag_m2.tro"))
+    assert code == 0
+    assert report_value(out, "algebra-part-dim") == "0"
+    assert report_value(out, "result") == "pass"
+
+
+def test_classify_d6_completes(capsys, tmp_path):
+    # the lattice checks are certified from 6 atoms, not from 729^2 matrix meets
+    rows = []
+    for i in range(6):
+        rows.append("generator:")
+        rows.extend(" ".join("[1,0]" if r == c == i else "[0,0]" for c in range(6))
+                    for r in range(6))
+    path = tmp_path / "d6.tro"
+    path.write_text("kind: tro\ndim: 6\n" + "\n".join(rows) + "\n")
+    code, out = run(capsys, "classify", str(path))
+    assert code == 0
+    assert report_value(out, "natural-cone-count") == "729"
+    assert report_value(out, "maximal-cone-count") == "64"
+    assert "check meet-closure pass" in out
+    assert "check negation-closure pass" in out
+
+
 def test_classify_full_algebra(capsys):
     code, out = run(capsys, "classify", fixture("m2.tro"))
     assert code == 0

@@ -1,0 +1,71 @@
+"""Golden reports: the stdout of ``classify``, ``cones`` and ``meet``,
+compared byte for byte with committed expectations.
+
+The hosts are every ``.tro`` fixture plus the documents in
+``golden/inputs`` (D_4, D_5, the block host M_1+M_1+M_2+M_1+M_1 and a
+unitary conjugation of D_3).  ``meet`` runs on two index pairs per host,
+taken from the tripotent count in the expected ``cones`` report.
+
+The expected files record the reports of an earlier implementation;
+rewrite them with ``python tests/test_golden.py`` only for a report
+change that is intended, and say why in the change log.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).parent
+GOLDEN = HERE / "golden"
+HOSTS = sorted((HERE / "fixtures").glob("*.tro")) + sorted((GOLDEN / "inputs").glob("*.tro"))
+
+
+def meet_pairs(count: int) -> list[tuple[int, int]]:
+    return sorted({(0, count - 1), (count // 3, 2 * count // 3)})
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(expected file name, CLI arguments) for every golden report."""
+    out = []
+    for host in HOSTS:
+        out.append((f"{host.stem}.classify.out", ["classify", str(host)]))
+        out.append((f"{host.stem}.cones.out", ["cones", str(host)]))
+        cones = GOLDEN / f"{host.stem}.cones.out"
+        if cones.exists():
+            count = int(next(line.split()[1] for line in cones.read_text().splitlines()
+                             if line.startswith("count ")))
+            for u, v in meet_pairs(count):
+                out.append((f"{host.stem}.meet-{u}-{v}.out",
+                            ["meet", str(host), "--u", str(u), "--v", str(v)]))
+    return out
+
+
+def report(argv: list[str]) -> tuple[int, str]:
+    from trokit.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", cases(), ids=[name for name, _ in cases()])
+def test_report_matches_golden(name, argv):
+    code, out = report(argv)
+    assert out == (GOLDEN / name).read_text()
+    assert code == (0 if out.endswith("result pass\n") else 1)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent / "src"))
+    # cones first: the meet cases are derived from its counts
+    for host in HOSTS:
+        (GOLDEN / f"{host.stem}.cones.out").write_text(report(["cones", str(host)])[1])
+    for name, argv in cases():
+        (GOLDEN / name).write_text(report(argv)[1])
+    print(f"wrote {len(cases())} golden reports to {GOLDEN}")

@@ -141,6 +141,24 @@ def test_intersect_diagonals_with_scalars():
     assert both.contains(matrix_unit(2, 0, 0))
 
 
+def test_intersect_of_lines_at_45_degrees_is_zero_at_loose_tol():
+    # the sine between the lines is 0.707; only a cutoff above it keeps a direction
+    a = orthonormalize([matrix_unit(2, 0, 0)])
+    b = orthonormalize([matrix_unit(2, 0, 0) + matrix_unit(2, 1, 1)])
+    for tol in (1e-9, 1e-3, 0.5):
+        assert intersect(a, b, tol).dim == 0
+        assert intersect(b, a, tol).dim == 0
+    assert intersect(a, b, 0.9).dim == 1
+
+
+def test_intersect_with_itself_at_tight_tol(rng):
+    # sines are taken as residuals: sqrt(1 - cos^2) would sit near 1e-8
+    s = orthonormalize([random_matrix(rng, 3) for _ in range(5)])
+    both = intersect(s, s, 1e-13)
+    assert both.dim == 5
+    assert subspace_equal(both, s)
+
+
 def test_span_union_and_equality():
     e11 = orthonormalize([matrix_unit(2, 0, 0)])
     e22 = orthonormalize([matrix_unit(2, 1, 1)])

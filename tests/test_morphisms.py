@@ -58,6 +58,16 @@ def test_unitary_conjugation_is_ternary_star_morphism(rng):
     assert is_selfadjoint_map(t)
 
 
+def test_selfadjointness_is_scale_relative():
+    m3 = full_matrix_tro(3)
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    for scale in (1.0, 1e2, 1e4):
+        assert is_selfadjoint_map(LinearMap.conjugation(m3, scale * u))
+    # x -> 1e8 i x sends x* to 1e8 i x*, not to (1e8 i x)*
+    assert not is_selfadjoint_map(LinearMap.from_function(lambda m: 1e8j * m, m3, 3))
+
+
 def test_from_pairs_reproduces_transpose():
     m2 = full_matrix_tro(2)
     pairs = [(matrix_unit(2, i, j), matrix_unit(2, j, i))

@@ -12,18 +12,29 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trokit import (
     BlockCapError,
+    FiniteInvolutiveSpace,
     Tripotent,
+    atoms_certificate,
+    build_sections,
+    center_atoms,
     central_blocks,
+    classify,
+    closure_from_generators,
+    embed_as_tro,
     enumerate_central_tripotents,
     is_selfadjoint_tripotent,
     leq,
     matrix_unit,
     maximal_central_tripotents,
     meet,
+    sign_lattice_closed,
 )
+from trokit import tripotents as tripotents_module
 
 from hosts import block_host, corner_tro, diagonal_tro, full_matrix_tro
 
@@ -205,3 +216,128 @@ def test_enumeration_is_deterministic():
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert np.array_equal(x.u, y.u)
+
+
+def _discrete_embedding(points: int):
+    tau = tuple(p ^ 1 for p in range(points))  # swap 0<->1, 2<->3, ...
+    space = FiniteInvolutiveSpace.build(points, tau, discrete=True)
+    return embed_as_tro(build_sections(space))
+
+
+def _conjugated(z, seed: int):
+    rng = np.random.default_rng(seed)
+    shape = (z.ambient_dim,) * 2
+    u, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return closure_from_generators([u @ b @ u.conj().T for b in z.space.onb])
+
+
+@pytest.mark.parametrize("host,ranks", [
+    (lambda: diagonal_tro(3), [1, 1, 1]),
+    (lambda: block_host(2, 1), [1, 2]),
+    (lambda: _conjugated(block_host(1, 2), 5), [1, 2]),
+    (lambda: _discrete_embedding(4), [2, 2]),
+])
+def test_center_atoms_are_certified_orthogonal_tripotents(host, ranks):
+    z = host()
+    atoms = center_atoms(z)
+    mats = atoms.atoms()
+    assert atoms.count == z.center.dim == len(ranks)
+    assert atoms.certified
+    assert sorted(int(round(np.trace(a @ a).real)) for a in mats) == ranks
+    for i, a in enumerate(mats):
+        assert np.allclose(a @ a @ a, a) and np.allclose(a, a.conj().T)
+        for b in mats[i + 1:]:
+            assert np.allclose(a @ b, 0)
+
+
+def test_discrete_embedding_atoms_pair_opposite_points():
+    # the section E_00 - E_11 is one atom over two blocks of opposite sign
+    atoms = center_atoms(_discrete_embedding(4))
+    assert len(atoms.projectors) == 4
+    assert sorted(np.abs(atoms.layout).sum(axis=0).tolist()) == [2, 2]
+    for a in atoms.atoms():
+        assert sorted(np.round(np.diag(a).real).astype(int).tolist()) == [-1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("host", [lambda: block_host(2, 1), lambda: _conjugated(diagonal_tro(3), 2)])
+def test_enumerated_tripotents_are_their_sign_sums(host):
+    z = host()
+    atoms = center_atoms(z)
+    mats = atoms.atoms()
+    trips = enumerate_central_tripotents(z)
+    assert {tp.signs for tp in trips} == set(product((-1, 0, 1), repeat=atoms.count))
+    for tp in trips:
+        assert np.allclose(tp.u, sum(e * a for e, a in zip(tp.signs, mats)))
+        assert tp.has_full_support == (0 not in tp.signs)
+    assert [tp.signs for tp in maximal_central_tripotents(z)] == \
+        [tp.signs for tp in trips if tp.has_full_support]
+
+
+def test_atoms_certificate_rejects_non_orthogonal_atoms():
+    z = diagonal_tro(2)
+    e1, e2 = (np.diag(v).astype(complex) for v in ([1.0, 0.0], [0.0, 1.0]))
+    assert atoms_certificate([e1, e2], z)
+    # both are central tripotents, but e1 (e1 + e2) = e1 != 0
+    assert not atoms_certificate([e1, e1 + e2], z)
+    assert not atoms_certificate([e1], z)  # one atom cannot span a 2-dim center
+    assert not atoms_certificate([e1, 2 * e2], z)  # not a tripotent
+
+
+def test_sign_lattice_checks_need_the_certificate_and_every_vector():
+    cube = list(product((-1, 0, 1), repeat=3))
+    assert sign_lattice_closed(cube, certified=True) == (True, True)
+    # without the atom certificate neither check can pass
+    assert sign_lattice_closed(cube, certified=False) == (False, False)
+    # (1, 1, 0) is the meet of (1, 1, 1) and (1, 1, -1) and the negation of (-1, -1, 0)
+    partial = [e for e in cube if e != (1, 1, 0)]
+    assert sign_lattice_closed(partial, certified=True) == (False, False)
+    # closed under negation but not under meets
+    pair = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
+    assert sign_lattice_closed(pair, certified=True) == (True, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda c: st.lists(
+    st.tuples(*[st.sampled_from((-1, 0, 1))] * c), min_size=1, unique=True)))
+def test_sign_lattice_lookup_matches_pairwise_brute_force(signs):
+    listed = set(signs)
+    negation = all(tuple(-e for e in v) in listed for v in signs)
+    meets = all(tuple(a if a == b else 0 for a, b in zip(u, v)) in listed
+                for u in signs for v in signs)
+    assert sign_lattice_closed(signs, certified=True) == (negation, meets)
+
+
+def test_classify_reports_certified_lattice_checks():
+    info = classify(block_host(1, 2))
+    assert info.negation_closed and info.meet_closed
+
+
+def test_enumeration_certifies_each_sign_vector_once(monkeypatch):
+    # 8 points in 4 swapped pairs: 8 joint blocks but 4 atoms, so 3^4
+    # sign vectors where 3^8 block codes would be tried blockwise
+    z = _discrete_embedding(8)
+    calls = []
+    certify = Tripotent.certify
+
+    def counting(u, host=None, tol=None):
+        calls.append(1)
+        return certify(u, host=host, tol=tol)
+
+    monkeypatch.setattr(Tripotent, "certify", staticmethod(counting))
+    trips = enumerate_central_tripotents(z)
+    assert len(trips) == 81
+    assert len(calls) == 81
+
+
+def test_classify_computes_the_blocks_once(monkeypatch):
+    calls = []
+    blocks = tripotents_module.central_blocks
+
+    def counting(z, tol=None):
+        calls.append(1)
+        return blocks(z, tol)
+
+    monkeypatch.setattr(tripotents_module, "central_blocks", counting)
+    info = classify(diagonal_tro(3))
+    assert info.natural_cone_count == 27 and info.block_count == 3
+    assert len(calls) == 1
