@@ -199,12 +199,16 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def format_matrix(m: np.ndarray) -> list[str]:
+def format_matrix(m: np.ndarray, tol: Tolerance | float | None = None) -> list[str]:
+    """Rows of ``[re,im]`` pairs.  A real or imaginary part at or below
+    ``tol.cutoff`` of the largest entry modulus is rounding noise and
+    prints as 0."""
     m = as_matrix(m)
-    out = []
-    for row in m:
-        out.append(" ".join(f"[{_fmt(v.real)},{_fmt(v.imag)}]" for v in row))
-    return out
+    cut = Tolerance.of(tol).cutoff(float(np.abs(m).max(initial=0.0)))
+    re = np.where(np.abs(m.real) <= cut, 0.0, m.real)
+    im = np.where(np.abs(m.imag) <= cut, 0.0, m.imag)
+    return [" ".join(f"[{_fmt(a)},{_fmt(b)}]" for a, b in zip(ra, ia))
+            for ra, ia in zip(re, im)]
 
 
 class Report:
@@ -215,6 +219,7 @@ class Report:
             f"tol {_fmt(tol.eps)}",
             f"seed {seed}",
         ]
+        self.tol = tol
         self.failed = False
 
     def line(self, text: str) -> None:
@@ -227,7 +232,7 @@ class Report:
 
     def matrix(self, label: str, m: np.ndarray) -> None:
         self.lines.append(f"matrix {label} dim {m.shape[0]}")
-        self.lines.extend(format_matrix(m))
+        self.lines.extend(format_matrix(m, self.tol))
 
     def emit(self) -> int:
         self.lines.append(f"result {'fail' if self.failed else 'pass'}")
@@ -288,7 +293,7 @@ def cmd_cones(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     for i, tp in enumerate(trips):
         flag = "true" if tp.has_full_support else "false"
         rep.line(f"tripotent {i} maximal {flag}")
-        rep.lines.extend(format_matrix(tp.u))
+        rep.lines.extend(format_matrix(tp.u, tol))
     return rep.emit()
 
 

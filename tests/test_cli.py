@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trokit import LinearMap, is_psd
+from trokit import LinearMap, Tolerance, is_psd
 from trokit.cli import ParseError, format_matrix, main, parse_document
 
 from hosts import full_matrix_tro
@@ -71,6 +71,9 @@ def test_parse_errors_carry_line_numbers():
 def test_format_matrix_normalizes_negative_zero():
     rows = format_matrix(np.array([[-0.0 + 0.0j]]))
     assert rows == ["[0,0]"]
+    # parts at or below tol.cutoff(max |entry|) are rounding noise
+    noisy = np.array([[1.0 - 3e-16j, 4e-16 + 1e-6j], [-2e-16, 0.5]])
+    assert format_matrix(noisy, Tolerance(1e-9)) == ["[1,0] [0,1e-06]", "[0,0] [0.5,0]"]
 
 
 def test_classify_d2(capsys):
