@@ -38,7 +38,7 @@ from .linalg import (
     orthonormalize,
     span_union,
 )
-from .tro import Tro, ternary_product
+from .tro import Tro, _row_norms, _triple_chunks, ternary_product
 
 __all__ = [
     "LinearMap",
@@ -138,6 +138,16 @@ class LinearMap:
         return LinearMap.from_function(lambda m: q @ m @ q, domain, q.shape[0])
 
 
+def _apply_rows(t_map: LinearMap, mats: np.ndarray) -> np.ndarray:
+    """``T`` on a stack of matrices, as one product on vectorized rows."""
+    return mats.reshape(len(mats), t_map.matrix.shape[1]) @ t_map.matrix.T
+
+
+def _exceeds(gap: np.ndarray, a: np.ndarray, b: np.ndarray, t: Tolerance) -> np.ndarray:
+    """Per row: ``|gap| > cutoff(max(|a|, |b|))``."""
+    return _row_norms(gap) > t.eps * np.maximum(1.0, np.maximum(_row_norms(a), _row_norms(b)))
+
+
 def is_ternary_star_morphism(t_map: LinearMap,
                              tol: Tolerance | float | None = None) -> bool:
     """T([x, y, z]) = [Tx, Ty, Tz] and T(x*) = T(x)* over all basis
@@ -145,20 +155,15 @@ def is_ternary_star_morphism(t_map: LinearMap,
     slots and conjugate-linear in the middle one, so the basis check is
     conclusive."""
     t = Tolerance.of(tol or t_map.domain.tol)
+    if not is_selfadjoint_map(t_map, t):
+        return False
     basis = t_map.domain.space.onb
-    images = [t_map.apply(b) for b in basis]
-    for b, tb in zip(basis, images):
-        lhs = t_map.apply(adjoint(b))
-        if hs_norm(lhs - adjoint(tb)) > t.cutoff(hs_norm(tb)):
+    dc = t_map.codomain_dim
+    images = _apply_rows(t_map, basis).reshape(-1, dc, dc)
+    for triples, rhs in zip(_triple_chunks(basis), _triple_chunks(images)):
+        lhs = _apply_rows(t_map, triples)
+        if np.any(_exceeds(lhs - rhs, lhs, rhs, t)):
             return False
-    k = len(basis)
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                lhs = t_map.apply(ternary_product(basis[i], basis[j], basis[l]))
-                rhs = ternary_product(images[i], images[j], images[l])
-                if hs_norm(lhs - rhs) > t.cutoff(max(hs_norm(lhs), hs_norm(rhs))):
-                    return False
     return True
 
 
@@ -328,17 +333,26 @@ def compress(p_map: LinearMap, tol: Tolerance | float | None = None,
     cone_span = orthonormalize([p_map.apply(b) for b in z.alg_part.onb], dim=d, tol=t)
     system = CompressedSystem(source=z, projection=p_map,
                               range_space=range_space, cone_span=cone_span)
-    # involutive ternary law under the inherited product
+    # involution law [x, y, w]* = [w*, y*, x*] of the inherited product,
+    # and its closure in the range, over all range basis triples; with
+    # q_b = P(b*)*, the right side's inner triple P(w*) P(y*)* P(x*) is
+    # (q_x q_y* q_w)*, so chunk x of both sides comes from one index x
     basis = range_space.onb
-    for x in basis:
-        for y in basis:
-            for w in basis:
-                lhs = adjoint(system.triple(x, y, w))
-                rhs = system.triple(adjoint(w), adjoint(y), adjoint(x))
-                if hs_norm(lhs - rhs) > t.cutoff(max(hs_norm(lhs), hs_norm(rhs))):
-                    raise ValueError("inherited product violates the involution law")
-                if not range_space.contains(system.triple(x, y, w), t):
-                    raise ValueError("inherited product leaves the range")
+    images = _apply_rows(p_map, basis).reshape(-1, d, d)
+    flipped = adjoint(_apply_rows(p_map, adjoint(basis)).reshape(-1, d, d))
+    on = range_space.vecs.conj().T
+    for outer, inner in zip(_triple_chunks(images), _triple_chunks(flipped)):
+        prods = _apply_rows(p_map, outer)
+        lhs = adjoint(prods.reshape(-1, d, d)).reshape(prods.shape)
+        rhs = _apply_rows(p_map, adjoint(inner.reshape(-1, d, d)))
+        law = _exceeds(lhs - rhs, lhs, rhs, t)
+        resid = prods - (prods @ on) @ range_space.vecs
+        leaves = _exceeds(resid, prods, prods, t)
+        bad = np.flatnonzero(law | leaves)
+        if bad.size and law[bad[0]]:
+            raise ValueError("inherited product violates the involution law")
+        if bad.size:
+            raise ValueError("inherited product leaves the range")
     return system
 
 

@@ -12,13 +12,18 @@ theory:
 * the center: all ``v in Z`` commuting with every element of ``Z^2``.
 
 :class:`Tro` certifies the defining conditions at construction time and
-caches the derived subspaces.
+caches the derived subspaces.  Ternary closedness is decided by one
+exhaustive pass over the basis triples ``b_i b_j* b_l``, generated one
+first index at a time so memory stays at ``k^2 d^2`` entries.
+:func:`closure_from_generators` runs such passes as its rounds; its last
+round, in which no triple leaves the span, is the closure certificate,
+and the triples are not checked a second time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,37 +61,49 @@ def ternary_product(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return as_matrix(x) @ adjoint(as_matrix(y)) @ as_matrix(z)
 
 
-def _triple_batch(basis: np.ndarray) -> np.ndarray:
-    """All ternary products of basis elements, flattened to (k^3, d, d).
+def _triple_chunks(basis: np.ndarray) -> Iterator[np.ndarray]:
+    """All ternary products ``b_i b_j* b_l`` of the given matrices, one
+    chunk per first index ``i``: the ``k^2`` triples ``(j, l)`` in row
+    order, vectorized to shape ``(k*k, d*d)``.
 
-    Chunked over the first index so certification of larger spans stays
-    within memory bounds.
+    Each chunk is one GEMM of the stacked ``b_i b_j*`` against the
+    side-by-side ``b_l``, so memory stays at ``k^2 d^2`` entries.
     """
-    k = basis.shape[0]
-    if k == 0:
-        return basis.copy()
-    out = []
-    conj = basis.conj()
-    for i in range(k):
-        # products basis[i] @ basis[j]^* @ basis[l]
-        left = basis[i][None, :, :] @ np.swapaxes(conj, 1, 2)  # (k, d, d)
-        prod = np.einsum("jab,lbd->jlad", left, basis)
-        out.append(prod.reshape(k * k, *basis.shape[1:]))
-    return np.concatenate(out, axis=0)
+    k, d = basis.shape[0], basis.shape[-1]
+    side = np.swapaxes(basis, 0, 1).reshape(d, k * d)  # [b_0 b_1 ...]
+    side_adj = np.swapaxes(adjoint(basis), 0, 1).reshape(d, k * d)  # [b_0* b_1* ...]
+    for b in basis:
+        left = np.swapaxes((b @ side_adj).reshape(d, k, d), 0, 1).reshape(k * d, d)
+        prods = (left @ side).reshape(k, d, k, d)
+        yield np.swapaxes(prods, 1, 2).reshape(k * k, d * d)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    r = a.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", r, r))
+
+
+def _open_triples(space: Subspace, tol: Tolerance) -> np.ndarray:
+    """The basis triples of ``space`` that leave it: residual above
+    ``eps * max(1, |triple|)`` against the span, vectorized rows.
+
+    The residual is the triple's component in an orthonormal basis of
+    the span's orthocomplement: one GEMM per chunk, against ``d^2 - k``
+    columns.
+    """
+    k, vecs = space.dim, space.vecs
+    off = np.linalg.svd(vecs, full_matrices=True)[2][k:].conj().T
+    out = [np.empty((0, vecs.shape[1]), dtype=complex)]
+    for flat in _triple_chunks(space.onb):
+        scales = np.maximum(1.0, _row_norms(flat))
+        out.append(flat[_row_norms(flat @ off) > tol.eps * scales])
+    return np.concatenate(out)
 
 
 def is_ternary_closed(space: Subspace, tol: Tolerance | float | None = None) -> bool:
     """Exhaustively checks ``[b_i, b_j, b_l]`` in ``space`` over the basis;
     by multilinearity this settles the whole space."""
-    t = Tolerance.of(tol)
-    if space.dim == 0:
-        return True
-    triples = _triple_batch(space.onb)
-    flat = triples.reshape(triples.shape[0], -1)
-    resid = flat - (flat @ np.conj(space.vecs.T)) @ space.vecs
-    norms = np.linalg.norm(resid, axis=1)
-    scales = np.maximum(1.0, np.linalg.norm(flat, axis=1))
-    return bool(np.all(norms <= t.eps * scales))
+    return _open_triples(space, Tolerance.of(tol)).shape[0] == 0
 
 
 def is_selfadjoint_space(space: Subspace, tol: Tolerance | float | None = None) -> bool:
@@ -120,7 +137,7 @@ def _center_of(space: Subspace, square: Subspace, tol: Tolerance) -> Subspace:
         comms = a[None, :, :] @ space.onb - space.onb @ a[None, :, :]
         rows.append(comms.reshape(space.dim, d * d).T)
     m = np.concatenate(rows, axis=0)  # (square.dim * d^2, space.dim)
-    _, svals, vh = np.linalg.svd(m, full_matrices=True)
+    _, svals, vh = np.linalg.svd(m, full_matrices=False)
     scale = float(svals[0]) if svals.size else 0.0
     cut = tol.cutoff(scale)
     rank = int(np.sum(svals > cut))
@@ -149,10 +166,15 @@ class Tro:
 
     @staticmethod
     def certify(space: Subspace, tol: Tolerance | float | None = None) -> "Tro":
-        t = Tolerance.of(tol)
+        return Tro._derive(space, Tolerance.of(tol), closed=False)
+
+    @staticmethod
+    def _derive(space: Subspace, t: Tolerance, closed: bool) -> "Tro":
+        """Certify and derive; ``closed`` means the caller has already
+        checked every basis triple, as the last closure round does."""
         if not is_selfadjoint_space(space, t):
             raise TroError("subspace is not closed under the adjoint")
-        if not is_ternary_closed(space, t):
+        if not closed and not is_ternary_closed(space, t):
             raise TroError("subspace is not closed under x y* z")
         square = _square_of(space, t)
         alg = intersect(space, square, t)
@@ -171,30 +193,30 @@ def closure_from_generators(generators: Sequence[np.ndarray], dim: int | None = 
                             tol: Tolerance | float | None = None) -> Tro:
     """Smallest *-TRO containing the generators.
 
-    Alternates adjoining adjoints and ternary products of a current basis,
-    re-orthonormalizing, until the dimension stabilizes.  The dimension
-    strictly grows per round, so at most d^2 rounds occur; the cap is
-    still enforced defensively.
+    Starts from the span of the generators and their adjoints.  Each
+    round checks every basis triple against the current span, with the
+    bound of :func:`is_ternary_closed`, and adjoins only the triples that
+    fail.  A round in which none fails is the closure certificate, so
+    :class:`Tro` does not check the triples again.  Every round that
+    finds failing triples must grow the dimension, so at most ``d^2 + 1``
+    rounds occur; failing triples that add no dimension raise
+    :class:`TroError`.
     """
     t = Tolerance.of(tol)
     gens = [as_matrix(g) for g in generators]
     if not gens and dim is None:
         raise ValueError("ambient dimension required for an empty generator list")
     d = dim if dim is not None else gens[0].shape[0]
-    seed = gens + [adjoint(g) for g in gens]
-    space = orthonormalize(seed, dim=d, tol=t)
-    for _ in range(d * d + 1):
-        if space.dim == 0:
-            break
-        triples = _triple_batch(space.onb)
-        grown = orthonormalize(list(space.onb) + list(triples), dim=d, tol=t)
-        if grown.dim == space.dim:
-            space = grown
-            break
+    space = orthonormalize(gens + [adjoint(g) for g in gens], dim=d, tol=t)
+    while True:
+        failing = _open_triples(space, t)
+        if failing.shape[0] == 0:
+            return Tro._derive(space, t, closed=True)
+        grown = orthonormalize(list(space.onb) + list(failing.reshape(-1, d, d)),
+                               dim=d, tol=t)
+        if grown.dim <= space.dim:
+            raise TroError("subspace is not closed under x y* z")
         space = grown
-    else:
-        raise RuntimeError("ternary closure failed to stabilize within d^2 rounds")
-    return Tro.certify(space, t)
 
 
 def algebra_part(z: Tro) -> Subspace:
@@ -222,7 +244,7 @@ def orthocomplement_ideal(z: Tro, ideal: Subspace,
         prods = z.space.onb @ j[None, :, :]
         cols.append(prods.reshape(z.dim, d * d).T)
     m = np.concatenate(cols, axis=0)
-    _, svals, vh = np.linalg.svd(m, full_matrices=True)
+    _, svals, vh = np.linalg.svd(m, full_matrices=False)
     scale = float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > t.cutoff(scale)))
     null = vh[rank:].conj()

@@ -7,10 +7,13 @@ without any tolerance."""
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trokit import (
     Tro,
@@ -29,8 +32,9 @@ from trokit import (
     subspace_equal,
     ternary_product,
 )
+from trokit import tro as tro_module
 
-from hosts import corner_tro, diagonal_tro, full_matrix_tro, random_generated_tro
+from hosts import block_host, corner_tro, diagonal_tro, full_matrix_tro, random_generated_tro
 
 
 # exact rational-complex matrices: d x d tuples of (re, im) Fractions
@@ -285,3 +289,74 @@ def test_empty_generators_give_zero_space():
     z = closure_from_generators([], dim=2)
     assert z.dim == 0
     assert z.center.dim == 0
+
+
+def _count_triple_passes(monkeypatch) -> list[int]:
+    calls = []
+    chunks = tro_module._triple_chunks
+
+    def counted(basis):
+        calls.append(basis.shape[0])
+        return chunks(basis)
+
+    monkeypatch.setattr(tro_module, "_triple_chunks", counted)
+    return calls
+
+
+def test_closure_checks_the_triples_once(monkeypatch):
+    calls = _count_triple_passes(monkeypatch)
+    units = [matrix_unit(3, i, j) for i in range(3) for j in range(3)]
+    z = closure_from_generators(units)
+    # the seed is closed: its one triple pass is also the certificate
+    assert calls == [9]
+    Tro.certify(z.space)
+    assert calls == [9, 9]
+
+
+def test_closure_rounds_end_with_a_pass_that_adds_nothing(monkeypatch, rng):
+    calls = _count_triple_passes(monkeypatch)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    z = closure_from_generators([g])
+    assert z.dim == 16
+    assert len(calls) >= 2 and calls[-1] == 16 and calls == sorted(set(calls))
+
+
+def test_is_ternary_closed_is_one_triple_pass(monkeypatch):
+    calls = _count_triple_passes(monkeypatch)
+    s = orthonormalize([matrix_unit(2, 0, 0), matrix_unit(2, 0, 1) + matrix_unit(2, 1, 0)])
+    assert not is_ternary_closed(s)
+    assert is_ternary_closed(diagonal_tro(2).space)
+    assert calls == [2, 2, 2]
+
+
+def test_closure_of_m7_stays_within_32_mb():
+    units = [matrix_unit(7, i, j) for i in range(7) for j in range(7)]
+    tracemalloc.start()
+    try:
+        z = closure_from_generators(units)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (z.dim, z.center.dim) == (49, 1)
+    assert peak < 32 * 2 ** 20
+
+
+def _invariants(z: Tro) -> tuple[int, int, int, int]:
+    return z.dim, z.square.dim, z.alg_part.dim, z.center.dim
+
+
+@settings(max_examples=8, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda ds: sum(ds) <= 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_closure_invariants_survive_conjugation_and_scaling(dims, seed):
+    z = block_host(*dims)
+    gens = z.space.basis()
+    d = z.ambient_dim
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    expect = _invariants(z)
+    assert expect[3] == len(dims)
+    for moved in ([u @ g @ u.conj().T for g in gens],
+                  [1e-6 * g for g in gens],
+                  [1e6 * g for g in gens]):
+        assert _invariants(closure_from_generators(moved, dim=d)) == expect
