@@ -212,7 +212,7 @@ def closure_from_generators(generators: Sequence[np.ndarray], dim: int | None = 
         failing = _open_triples(space, t)
         if failing.shape[0] == 0:
             return Tro._derive(space, t, closed=True)
-        grown = orthonormalize(list(space.onb) + list(failing.reshape(-1, d, d)),
+        grown = orthonormalize(np.concatenate([space.vecs, failing]).reshape(-1, d, d),
                                dim=d, tol=t)
         if grown.dim <= space.dim:
             raise TroError("subspace is not closed under x y* z")
