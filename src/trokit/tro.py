@@ -79,6 +79,7 @@ def _triple_chunks(basis: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Norm of each row of a C-contiguous 2-D array, read as real pairs."""
     r = a.view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", r, r))
 
