@@ -71,7 +71,6 @@ class InputDocument:
     kind: str
     dim: int = 0
     codim: int = 0
-    tol: float | None = None
     generators: list[np.ndarray] = field(default_factory=list)
     pairs: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     points: int = 0
@@ -149,8 +148,6 @@ def parse_document(text: str) -> InputDocument:
                 doc.dim = int(value)
             elif key == "codim":
                 doc.codim = int(value)
-            elif key == "tol":
-                doc.tol = float(value)
             elif key == "points":
                 doc.points = int(value)
             elif key == "tau":
@@ -265,7 +262,7 @@ def cmd_classify(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
                  max_blocks: int) -> int:
     z = _build_tro(doc, tol)
     rep = Report("classify", digest, tol, seed)
-    info = classify(z, tol, max_blocks=max_blocks)
+    info = classify(z, max_blocks=max_blocks)
     rep.line(f"ambient-dim {info.ambient_dim}")
     rep.line(f"space-dim {info.space_dim}")
     rep.line(f"square-dim {info.square_dim}")
@@ -288,7 +285,7 @@ def cmd_cones(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
               max_blocks: int) -> int:
     z = _build_tro(doc, tol)
     rep = Report("cones", digest, tol, seed)
-    trips = enumerate_central_tripotents(z, tol, max_blocks=max_blocks)
+    trips = enumerate_central_tripotents(z, max_blocks=max_blocks)
     rep.line(f"count {len(trips)}")
     for i, tp in enumerate(trips):
         flag = "true" if tp.has_full_support else "false"
@@ -301,11 +298,11 @@ def cmd_meet(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
              max_blocks: int, iu: int, iv: int) -> int:
     z = _build_tro(doc, tol)
     rep = Report("meet", digest, tol, seed)
-    trips = enumerate_central_tripotents(z, tol, max_blocks=max_blocks)
+    trips = enumerate_central_tripotents(z, max_blocks=max_blocks)
     if not (0 <= iu < len(trips) and 0 <= iv < len(trips)):
         raise ParseError(0, f"indices must lie in [0, {len(trips) - 1}]")
     u, v = trips[iu], trips[iv]
-    w = meet(u, v, host=z, tol=tol)
+    w = meet(u, v, host=z)
     rep.line(f"index-u {iu}")
     rep.line(f"index-v {iv}")
     rep.matrix("meet", w.u)
@@ -318,7 +315,8 @@ def cmd_meet(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     return rep.emit()
 
 
-def cmd_commutative(doc: InputDocument, digest: str, tol: Tolerance, seed: int) -> int:
+def cmd_commutative(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
+                    max_blocks: int) -> int:
     try:
         space = FiniteInvolutiveSpace.build(doc.points, doc.tau, opens=doc.opens,
                                             discrete=doc.discrete)
@@ -354,7 +352,7 @@ def cmd_commutative(doc: InputDocument, digest: str, tol: Tolerance, seed: int) 
     rep.check("inclusion-equivalence", incl_ok)
     if space.opens == frozenset(range(1 << space.n)):
         z = embed_as_tro(sections, tol)
-        info = classify(z, tol)
+        info = classify(z, max_blocks=max_blocks)
         rep.line(f"embedded-cone-count {info.natural_cone_count}")
         rep.line(f"embedded-maximal-count {info.maximal_cone_count}")
         rep.check("embedding-crossval",
@@ -370,16 +368,16 @@ def cmd_checkmap(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     z = _build_tro(doc, tol)
     rep = Report("checkmap", digest, tol, seed)
     try:
-        t_map = LinearMap.from_pairs(z, doc.codim, doc.pairs, tol)
+        t_map = LinearMap.from_pairs(z, doc.codim, doc.pairs)
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
     rep.line(f"domain-dim {z.dim}")
     rep.line(f"codomain-dim {doc.codim}")
-    ternary = is_ternary_star_morphism(t_map, tol)
+    ternary = is_ternary_star_morphism(t_map)
     rep.check("ternary-star-morphism", ternary)
-    rep.check("selfadjoint-map", is_selfadjoint_map(t_map, tol))
+    rep.check("selfadjoint-map", is_selfadjoint_map(t_map))
     rng = np.random.default_rng(seed)
-    refutation = cp_refutation(t_map, max_level=max_level, rng=rng, tol=tol)
+    refutation = cp_refutation(t_map, max_level=max_level, rng=rng)
     if refutation is None:
         for level in range(1, max_level + 1):
             rep.line(f"cp-level {level} pass")
@@ -395,7 +393,7 @@ def cmd_checkmap(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
         rep.matrix("cp-witness-image", image)
         rep.check("completely-positive-up-to-%d" % max_level, False)
     if ternary:
-        _, well_defined = induced_hom(t_map, tol)
+        _, well_defined = induced_hom(t_map)
         rep.check("induced-hom-well-defined", well_defined)
     return rep.emit()
 
@@ -452,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "meet":
             return cmd_meet(doc, digest, tol, args.seed, args.max_blocks, args.u, args.v)
         if args.command == "commutative":
-            return cmd_commutative(doc, digest, tol, args.seed)
+            return cmd_commutative(doc, digest, tol, args.seed, args.max_blocks)
         if args.command == "checkmap":
             return cmd_checkmap(doc, digest, tol, args.seed, args.max_level)
         raise AssertionError("unreachable")

@@ -96,11 +96,10 @@ class LinearMap:
 
     @staticmethod
     def from_pairs(domain: Tro, codomain_dim: int,
-                   pairs: list[tuple[np.ndarray, np.ndarray]],
-                   tol: Tolerance | float | None = None) -> "LinearMap":
+                   pairs: list[tuple[np.ndarray, np.ndarray]]) -> "LinearMap":
         """Least-squares extension of input/output samples; the inputs
         must span the domain space.  Off the span the map is zero."""
-        t = Tolerance.of(tol or domain.tol)
+        t = domain.tol
         if not pairs:
             raise ValueError("at least one pair is required")
         d = domain.ambient_dim
@@ -148,14 +147,13 @@ def _exceeds(gap: np.ndarray, a: np.ndarray, b: np.ndarray, t: Tolerance) -> np.
     return _row_norms(gap) > t.eps * np.maximum(1.0, np.maximum(_row_norms(a), _row_norms(b)))
 
 
-def is_ternary_star_morphism(t_map: LinearMap,
-                             tol: Tolerance | float | None = None) -> bool:
+def is_ternary_star_morphism(t_map: LinearMap) -> bool:
     """T([x, y, z]) = [Tx, Ty, Tz] and T(x*) = T(x)* over all basis
     triples of the domain space.  Both sides are linear in the outer
     slots and conjugate-linear in the middle one, so the basis check is
     conclusive."""
-    t = Tolerance.of(tol or t_map.domain.tol)
-    if not is_selfadjoint_map(t_map, t):
+    t = t_map.domain.tol
+    if not is_selfadjoint_map(t_map):
         return False
     basis = t_map.domain.space.onb
     dc = t_map.codomain_dim
@@ -167,8 +165,8 @@ def is_ternary_star_morphism(t_map: LinearMap,
     return True
 
 
-def is_selfadjoint_map(t_map: LinearMap, tol: Tolerance | float | None = None) -> bool:
-    t = Tolerance.of(tol or t_map.domain.tol)
+def is_selfadjoint_map(t_map: LinearMap) -> bool:
+    t = t_map.domain.tol
     for b in t_map.domain.space.onb:
         tb = t_map.apply(b)
         if hs_norm(t_map.apply(adjoint(b)) - adjoint(tb)) > t.cutoff(hs_norm(tb)):
@@ -176,8 +174,7 @@ def is_selfadjoint_map(t_map: LinearMap, tol: Tolerance | float | None = None) -
     return True
 
 
-def induced_hom(t_map: LinearMap,
-                tol: Tolerance | float | None = None) -> tuple[LinearMap, bool]:
+def induced_hom(t_map: LinearMap) -> tuple[LinearMap, bool]:
     """The *-homomorphism pi on the square determined by
     ``pi(x* y) = T(x)* T(y)``.
 
@@ -186,8 +183,8 @@ def induced_hom(t_map: LinearMap,
     simultaneously satisfiable (well-definedness).  The returned map is
     defined on the square of the domain, certified as a *-TRO.
     """
-    t = Tolerance.of(tol or t_map.domain.tol)
     z = t_map.domain
+    t = z.tol
     d = z.ambient_dim
     basis = z.space.onb
     if len(basis) == 0:
@@ -227,7 +224,6 @@ def _random_block_positive(z: Tro, level: int, rng: np.random.Generator) -> list
 def cp_refutation(t_map: LinearMap, max_level: int = 3,
                   rng: np.random.Generator | None = None,
                   samples: int = 8,
-                  tol: Tolerance | float | None = None,
                   ) -> tuple[int, np.ndarray, np.ndarray] | None:
     """Search for a violation of complete positivity up to the given
     matrix level.
@@ -238,9 +234,9 @@ def cp_refutation(t_map: LinearMap, max_level: int = 3,
     block matrix [E_ij] is included deterministically at level d, which
     is a Choi-type certificate.
     """
-    t = Tolerance.of(tol or t_map.domain.tol)
     rng = rng if rng is not None else np.random.default_rng(0)
     z = t_map.domain
+    t = z.tol
     d = z.ambient_dim
     full_domain = z.space.dim == d * d
     for level in range(1, max_level + 1):
@@ -263,12 +259,10 @@ def cp_refutation(t_map: LinearMap, max_level: int = 3,
 
 def is_completely_positive_up_to(t_map: LinearMap, max_level: int = 3,
                                  rng: np.random.Generator | None = None,
-                                 samples: int = 8,
-                                 tol: Tolerance | float | None = None) -> bool:
+                                 samples: int = 8) -> bool:
     """True means no refutation was found up to the level cap; a False
     is backed by a concrete positive witness with non-positive image."""
-    return cp_refutation(t_map, max_level=max_level, rng=rng,
-                         samples=samples, tol=tol) is None
+    return cp_refutation(t_map, max_level=max_level, rng=rng, samples=samples) is None
 
 
 @dataclass(frozen=True)
@@ -288,14 +282,12 @@ class CompressedSystem:
         p = self.projection
         return p.apply(ternary_product(p.apply(x), p.apply(y), p.apply(z)))
 
-    def cone_contains(self, x: np.ndarray,
-                      tol: Tolerance | float | None = None) -> bool:
-        t = Tolerance.of(tol or self.source.tol)
+    def cone_contains(self, x: np.ndarray) -> bool:
+        t = self.source.tol
         return self.range_space.contains(x, t) and is_psd(as_matrix(x), t)
 
 
-def compress(p_map: LinearMap, tol: Tolerance | float | None = None,
-             rng: np.random.Generator | None = None,
+def compress(p_map: LinearMap, rng: np.random.Generator | None = None,
              samples: int = 16) -> CompressedSystem:
     """Compress a *-TRO by a completely positive completely contractive
     idempotent.
@@ -305,9 +297,9 @@ def compress(p_map: LinearMap, tol: Tolerance | float | None = None,
     ``[x, y, z]* = [z*, y*, x*]`` for the inherited product on the range
     basis.  Raises ValueError when any certificate fails.
     """
-    t = Tolerance.of(tol or p_map.domain.tol)
     rng = rng if rng is not None else np.random.default_rng(0)
     z = p_map.domain
+    t = z.tol
     d = z.ambient_dim
     if p_map.codomain_dim != d:
         raise ValueError("an idempotent must map the ambient algebra to itself")
@@ -317,7 +309,7 @@ def compress(p_map: LinearMap, tol: Tolerance | float | None = None,
             raise ValueError("map is not idempotent on the domain")
         if not z.space.contains(once, t):
             raise ValueError("map does not leave the domain space invariant")
-    if cp_refutation(p_map, max_level=2, rng=rng, samples=samples, tol=t) is not None:
+    if cp_refutation(p_map, max_level=2, rng=rng, samples=samples) is not None:
         raise ValueError("map is not completely positive at levels <= 2")
     for level in (1, 2):
         for _ in range(samples):
@@ -371,8 +363,7 @@ class Automorphism:
         return (self.matrix @ as_matrix(m).ravel()).reshape(d, d)
 
 
-def period_two_automorphism(z: Tro,
-                            tol: Tolerance | float | None = None) -> Automorphism:
+def period_two_automorphism(z: Tro) -> Automorphism:
     """Construct theta(a + x) = a - x on A = Z^2 + Z.
 
     Requires Z and Z^2 to intersect trivially, otherwise the grading is
@@ -380,7 +371,7 @@ def period_two_automorphism(z: Tro,
     theta is multiplicative, *-preserving, involutive, with fixed space
     Z^2 and (-1)-eigenspace Z.
     """
-    t = Tolerance.of(tol or z.tol)
+    t = z.tol
     d = z.ambient_dim
     if z.alg_part.dim != 0:
         raise ValueError("Z intersects its square; the flip automorphism needs Z \\cap Z^2 = 0")

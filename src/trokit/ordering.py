@@ -19,7 +19,6 @@ import numpy as np
 
 from .linalg import (
     Subspace,
-    Tolerance,
     adjoint,
     as_matrix,
     hs_norm,
@@ -52,11 +51,10 @@ __all__ = [
 MAX_MATRIX_LEVEL = 4
 
 
-def cone_membership(x: np.ndarray, u: np.ndarray | Tripotent, z: Tro,
-                    tol: Tolerance | float | None = None) -> bool:
+def cone_membership(x: np.ndarray, u: np.ndarray | Tripotent, z: Tro) -> bool:
     """x lies in the natural cone of u iff x is in Z, u x u = x, and u x
     is positive semidefinite."""
-    t = Tolerance.of(tol or z.tol)
+    t = z.tol
     a = as_matrix(x)
     w = u.u if isinstance(u, Tripotent) else as_matrix(u)
     if not z.space.contains(a, t):
@@ -67,11 +65,11 @@ def cone_membership(x: np.ndarray, u: np.ndarray | Tripotent, z: Tro,
 
 
 def matrix_cone_membership(blocks: list[list[np.ndarray]], u: np.ndarray | Tripotent,
-                           z: Tro, tol: Tolerance | float | None = None) -> bool:
+                           z: Tro) -> bool:
     """Membership of an n x n block matrix in the level-n matrix cone,
     tested against the amplified tripotent diag(u, ..., u).  Levels above
     MAX_MATRIX_LEVEL are rejected."""
-    t = Tolerance.of(tol or z.tol)
+    t = z.tol
     n = len(blocks)
     if n == 0 or any(len(row) != n for row in blocks):
         raise ValueError("blocks must form a square array")
@@ -90,13 +88,11 @@ def matrix_cone_membership(blocks: list[list[np.ndarray]], u: np.ndarray | Tripo
     return is_psd(amp @ big, t)
 
 
-def peirce_space(u: np.ndarray | Tripotent, z: Tro,
-                 tol: Tolerance | float | None = None) -> Subspace:
+def peirce_space(u: np.ndarray | Tripotent, z: Tro) -> Subspace:
     """span{u b u : b a basis of Z}; for central u this is u^2 Z."""
-    t = Tolerance.of(tol or z.tol)
     w = u.u if isinstance(u, Tripotent) else as_matrix(u)
     mats = [w @ b @ w for b in z.space.onb]
-    return orthonormalize(mats, dim=z.ambient_dim, tol=t)
+    return orthonormalize(mats, dim=z.ambient_dim, tol=z.tol)
 
 
 def peirce_product(x: np.ndarray, y: np.ndarray, u: np.ndarray | Tripotent) -> np.ndarray:
@@ -105,15 +101,14 @@ def peirce_product(x: np.ndarray, y: np.ndarray, u: np.ndarray | Tripotent) -> n
     return as_matrix(x) @ w @ as_matrix(y)
 
 
-def decompose(z: Tro, u: Tripotent,
-              tol: Tolerance | float | None = None) -> tuple[Subspace, Subspace]:
+def decompose(z: Tro, u: Tripotent) -> tuple[Subspace, Subspace]:
     """Split Z along a central tripotent into (u^2 Z, (1 - u^2) Z).
 
     For maximal u the first part is the Peirce algebra of u and the
     second is the orthocomplement ideal; their spans always reconstruct
     Z.  The zero tripotent yields ({0}, Z).
     """
-    t = Tolerance.of(tol or z.tol)
+    t = z.tol
     if not u.is_central:
         raise ValueError("decomposition requires a central tripotent")
     d = z.ambient_dim
@@ -150,8 +145,7 @@ class ClassificationReport:
     meet_closed: bool
 
 
-def classify(z: Tro, tol: Tolerance | float | None = None,
-             max_blocks: int = 12) -> ClassificationReport:
+def classify(z: Tro, max_blocks: int = 12) -> ClassificationReport:
     """Full ordering classification of a *-TRO.
 
     The center's atoms are computed once; the tripotents are their sign
@@ -159,15 +153,14 @@ def classify(z: Tro, tol: Tolerance | float | None = None,
     decomposition dimensions are computed at each maximal tripotent and
     verified to agree (they always do: maximal tripotents share the
     same support projection)."""
-    t = Tolerance.of(tol or z.tol)
-    atoms = center_atoms(z, t, max_blocks)
-    tripotents = central_tripotents(z, atoms, t)
+    atoms = center_atoms(z, max_blocks)
+    tripotents = central_tripotents(z, atoms)
     maximal_indices = tuple(i for i, tp in enumerate(tripotents) if tp.has_full_support)
     maximal = [tripotents[i] for i in maximal_indices]
     if maximal:
         seen: set[tuple[int, int]] = set()
         for m in maximal:
-            part, comp = decompose(z, m, t)
+            part, comp = decompose(z, m)
             seen.add((part.dim, comp.dim))
         if len(seen) != 1:
             raise RuntimeError(f"maximal tripotents disagree on decomposition: {seen}")
@@ -200,8 +193,8 @@ class NaturalCone:
     host: Tro
     tripotent: Tripotent
 
-    def contains(self, x: np.ndarray, tol: Tolerance | float | None = None) -> bool:
-        return cone_membership(x, self.tripotent, self.host, tol)
+    def contains(self, x: np.ndarray) -> bool:
+        return cone_membership(x, self.tripotent, self.host)
 
     def sample(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
         """Random cone elements e u e* with e drawn from the host space."""
@@ -212,10 +205,10 @@ class NaturalCone:
             out.append(e @ u @ adjoint(e))
         return out
 
-    def diagonal_rays(self, tol: Tolerance | float | None = None) -> list[np.ndarray]:
+    def diagonal_rays(self) -> list[np.ndarray]:
         """Extreme rays when the host consists of diagonal matrices only:
         one ray u_ii E_ii per nonvanishing diagonal entry of u."""
-        t = Tolerance.of(tol or self.host.tol)
+        t = self.host.tol
         d = self.host.ambient_dim
         offdiag = [abs(b[i, j]) for b in self.host.space.onb
                    for i in range(d) for j in range(d) if i != j]
@@ -235,7 +228,6 @@ class NaturalCone:
 def cone_intersection_is_meet(u: Tripotent, v: Tripotent, z: Tro,
                               rng: np.random.Generator | None = None,
                               samples: int = 32,
-                              tol: Tolerance | float | None = None,
                               ) -> tuple[bool, np.ndarray | None]:
     """Check that the intersection of two natural cones is the cone of
     the meet tripotent.
@@ -245,26 +237,25 @@ def cone_intersection_is_meet(u: Tripotent, v: Tripotent, z: Tro,
     On diagonal hosts the extreme rays are enumerated exhaustively, which
     settles the equality exactly.  Returns (verdict, witness).
     """
-    t = Tolerance.of(tol or z.tol)
     rng = rng if rng is not None else np.random.default_rng(0)
-    w = meet(u, v, host=z, tol=t)
+    w = meet(u, v, host=z)
     cu, cv, cw = NaturalCone(z, u), NaturalCone(z, v), NaturalCone(z, w)
 
     for x in cw.sample(rng, samples):
-        if not (cu.contains(x, t) and cv.contains(x, t)):
+        if not (cu.contains(x) and cv.contains(x)):
             return False, x
     both = [x for x in cu.sample(rng, samples) + cv.sample(rng, samples)
-            if cu.contains(x, t) and cv.contains(x, t)]
+            if cu.contains(x) and cv.contains(x)]
     # sums of common elements stay in the intersection
     both.extend(a + b for a, b in zip(both[::2], both[1::2]))
     for x in both:
-        if not cw.contains(x, t):
+        if not cw.contains(x):
             return False, x
 
     try:
-        rays_u = cu.diagonal_rays(t)
-        rays_v = cv.diagonal_rays(t)
-        rays_w = cw.diagonal_rays(t)
+        rays_u = cu.diagonal_rays()
+        rays_v = cv.diagonal_rays()
+        rays_w = cw.diagonal_rays()
     except ValueError:
         return True, None
     # on a diagonal host the cones are simplicial: compare ray sets
@@ -278,7 +269,7 @@ def cone_intersection_is_meet(u: Tripotent, v: Tripotent, z: Tro,
         witness = np.array(list(diff)[0][: d * d]).reshape(d, d).astype(complex)
         return False, witness
     for r in rays_u:
-        inter = cu.contains(r, t) and cv.contains(r, t)
-        if inter != cw.contains(r, t):
+        inter = cu.contains(r) and cv.contains(r)
+        if inter != cw.contains(r):
             return False, r
     return True, None

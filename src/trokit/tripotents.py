@@ -79,18 +79,16 @@ class Tripotent:
         return bool(self.signs) and 0 not in self.signs
 
     @staticmethod
-    def certify(u: np.ndarray, host: Tro | None = None,
-                tol: Tolerance | float | None = None) -> "Tripotent":
-        t = Tolerance.of(tol)
+    def certify(u: np.ndarray, host: Tro) -> "Tripotent":
+        """Certify u as a selfadjoint tripotent lying in the host space,
+        at the host's tolerance, and flag whether it is central."""
+        t = host.tol
         m = as_matrix(u)
         if not is_selfadjoint_tripotent(m, t):
             raise ValueError("matrix is not a selfadjoint tripotent")
-        central = False
-        if host is not None:
-            if not host.space.contains(m, t):
-                raise ValueError("tripotent does not lie in the host space")
-            central = host.center.contains(m, t)
-        return Tripotent(u=m, is_central=central)
+        if not host.space.contains(m, t):
+            raise ValueError("tripotent does not lie in the host space")
+        return Tripotent(u=m, is_central=host.center.contains(m, t))
 
     def negated(self) -> "Tripotent":
         signs = None if self.signs is None else tuple(-e for e in self.signs)
@@ -113,23 +111,17 @@ def leq(u: np.ndarray | Tripotent, v: np.ndarray | Tripotent,
     return hs_norm(a @ b @ a - a) <= t.eps * scale
 
 
-def meet(u: Tripotent, v: Tripotent, host: Tro | None = None,
-         tol: Tolerance | float | None = None) -> Tripotent:
-    """Greatest lower bound of two central tripotents: (u v u + v u v) / 2.
+def meet(u: Tripotent, v: Tripotent, host: Tro) -> Tripotent:
+    """Greatest lower bound of two central tripotents: (u v u + v u v) / 2,
+    certified in the host.
 
     Requires centrality; for non-commuting selfadjoint tripotents the
     formula need not even produce a tripotent.
     """
-    t = Tolerance.of(tol)
     if not (u.is_central and v.is_central):
         raise ValueError("meet is defined for central tripotents")
     a, b = u.u, v.u
-    w = (a @ b @ a + b @ a @ b) / 2.0
-    out = Tripotent.certify(w, host=host, tol=t)
-    if host is None:
-        # centrality is inherited from the arguments
-        out = Tripotent(u=out.u, is_central=True)
-    return out
+    return Tripotent.certify((a @ b @ a + b @ a @ b) / 2.0, host=host)
 
 
 def _cluster(values: np.ndarray, thr: float) -> list[np.ndarray]:
@@ -154,16 +146,17 @@ def _selfadjoint_family(center: Subspace) -> list[np.ndarray]:
     return fam
 
 
-def central_blocks(z: Tro, tol: Tolerance | float | None = None) -> list[np.ndarray]:
+def central_blocks(z: Tro) -> list[np.ndarray]:
     """Joint eigenblocks of the center: a list of matrices Q_b whose
     orthonormal columns span the common eigenspaces.  Every central
     element is scalar on each block.
     """
-    t = Tolerance.of(tol or z.tol)
+    t = z.tol
     d = z.ambient_dim
     fam = _selfadjoint_family(z.center)
     if not fam:
         return [np.eye(d, dtype=complex)]
+    hscales = [max(1.0, op_norm(h)) for h in fam]
     thr = np.sqrt(t.eps)
     rng = np.random.default_rng(_BLOCK_SEED)
     weights = rng.standard_normal(len(fam))
@@ -177,13 +170,12 @@ def central_blocks(z: Tro, tol: Tolerance | float | None = None) -> list[np.ndar
         refined: list[np.ndarray] = []
         for q in blocks:
             pieces = [q]
-            for h in fam:
+            for h, hscale in zip(fam, hscales):
                 next_pieces = []
                 for piece in pieces:
                     comp = piece.conj().T @ h @ piece
                     k = comp.shape[0]
                     mean = np.trace(comp) / k
-                    hscale = max(1.0, op_norm(h))
                     if hs_norm(comp - mean * np.eye(k)) <= t.eps * hscale * k:
                         next_pieces.append(piece)
                         continue
@@ -234,8 +226,7 @@ class CenterAtoms:
         return [self.matrix(e) for e in np.eye(self.count, dtype=int)]
 
 
-def atoms_certificate(atoms: list[np.ndarray], z: Tro,
-                      tol: Tolerance | float | None = None) -> bool:
+def atoms_certificate(atoms: list[np.ndarray], z: Tro) -> bool:
     """True iff the atoms are dim(center) selfadjoint central tripotents
     with ``a_i a_j = 0`` for ``i != j``.
 
@@ -247,7 +238,7 @@ def atoms_certificate(atoms: list[np.ndarray], z: Tro,
     ``eps_i = delta_i`` and 0 elsewhere, and u is maximal iff ``eps`` has
     full support.
     """
-    t = Tolerance.of(tol or z.tol)
+    t = z.tol
     if len(atoms) != z.center.dim:
         return False
     for a in atoms:
@@ -260,18 +251,16 @@ def atoms_certificate(atoms: list[np.ndarray], z: Tro,
     return True
 
 
-def center_atoms(z: Tro, tol: Tolerance | float | None = None,
-                 max_blocks: int = 12) -> CenterAtoms:
+def center_atoms(z: Tro, max_blocks: int = 12) -> CenterAtoms:
     """Group the joint eigenblocks of the center into its atoms.
 
     Every central element is a scalar on each block; two blocks belong
     to the same atom iff the values of the center family on them agree
     up to one sign.  Blocks where the family vanishes belong to no atom.
     """
-    t = Tolerance.of(tol or z.tol)
     if z.center.dim == 0:
         return CenterAtoms((), np.zeros((0, 0), dtype=int), True)
-    blocks = central_blocks(z, t)
+    blocks = central_blocks(z)
     m = len(blocks)
     if m > max_blocks:
         raise BlockCapError(
@@ -279,7 +268,7 @@ def center_atoms(z: Tro, tol: Tolerance | float | None = None,
     fam = _selfadjoint_family(z.center)
     patterns = np.array([[np.real(np.trace(q.conj().T @ h @ q)) / q.shape[1] for h in fam]
                          for q in blocks])
-    thr = np.sqrt(t.eps)
+    thr = np.sqrt(z.tol.eps)
     reps: list[np.ndarray] = []
     layout = np.zeros((m, m), dtype=int)
     for b, col in enumerate(patterns):
@@ -302,22 +291,20 @@ def center_atoms(z: Tro, tol: Tolerance | float | None = None,
     layout = layout[:, :len(reps)]
     projectors = tuple(q @ q.conj().T for q in blocks)
     unchecked = CenterAtoms(projectors, layout, False)
-    return CenterAtoms(projectors, layout, atoms_certificate(unchecked.atoms(), z, t))
+    return CenterAtoms(projectors, layout, atoms_certificate(unchecked.atoms(), z))
 
 
 def central_tripotents(z: Tro, atoms: CenterAtoms,
-                       tol: Tolerance | float | None = None,
                        maximal: bool = False) -> list[Tripotent]:
     """The central tripotents over the given atoms, each certified and
     carrying its sign vector; only the full-support ones when
     ``maximal``.  Sorted by rounded matrix entries."""
-    t = Tolerance.of(tol or z.tol)
     if atoms.count == 0:
         zero = Tripotent(np.zeros((z.ambient_dim,) * 2, dtype=complex), True, ())
         return [] if maximal else [zero]
     found = []
     for eps in itertools.product((-1, 1) if maximal else (-1, 0, 1), repeat=atoms.count):
-        tp = Tripotent.certify(atoms.matrix(eps), host=z, tol=t)
+        tp = Tripotent.certify(atoms.matrix(eps), host=z)
         if not tp.is_central:
             raise RuntimeError(
                 f"sign vector {eps} gives a tripotent outside the center; "
@@ -327,16 +314,14 @@ def central_tripotents(z: Tro, atoms: CenterAtoms,
     return found
 
 
-def enumerate_central_tripotents(z: Tro, tol: Tolerance | float | None = None,
-                                 max_blocks: int = 12) -> list[Tripotent]:
+def enumerate_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:
     """All selfadjoint tripotents in the center of z, zero included:
     the ``3^dim(center)`` sign vectors over the atoms.
 
     Deterministic: the result is sorted by rounded matrix entries, so
     indices are stable across runs and platforms.
     """
-    t = Tolerance.of(tol or z.tol)
-    return central_tripotents(z, center_atoms(z, t, max_blocks), t)
+    return central_tripotents(z, center_atoms(z, max_blocks))
 
 
 def _sort_key(u: np.ndarray) -> tuple:
@@ -346,16 +331,14 @@ def _sort_key(u: np.ndarray) -> tuple:
     return tuple(np.concatenate([re, im]).tolist())
 
 
-def maximal_central_tripotents(z: Tro, tol: Tolerance | float | None = None,
-                               max_blocks: int = 12) -> list[Tripotent]:
+def maximal_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:
     """Central tripotents acting as a unit on the center: the sign
     vectors with full support.  These are exactly the maximal elements
     of the tripotent order whenever the center is nonzero; for a trivial
     center the list is empty (only the zero tripotent exists and it
     generates no ordering).
     """
-    t = Tolerance.of(tol or z.tol)
-    return central_tripotents(z, center_atoms(z, t, max_blocks), t, maximal=True)
+    return central_tripotents(z, center_atoms(z, max_blocks), maximal=True)
 
 
 def sign_lattice_closed(signs: list[tuple[int, ...]], certified: bool) -> tuple[bool, bool]:

@@ -12,9 +12,12 @@ theory:
 * the center: all ``v in Z`` commuting with every element of ``Z^2``.
 
 :class:`Tro` certifies the defining conditions at construction time and
-caches the derived subspaces.  Ternary closedness is decided by one
-exhaustive pass over the basis triples ``b_i b_j* b_l``, generated one
-first index at a time so memory stays at ``k^2 d^2`` entries.
+caches the derived subspaces.  The tolerance it was certified at is
+recorded as ``Tro.tol``; every later decision about the space, here and
+in the modules built on it, uses that tolerance.  Ternary closedness is
+decided by one exhaustive pass over the basis triples ``b_i b_j* b_l``,
+generated one first index at a time so memory stays at ``k^2 d^2``
+entries.
 :func:`closure_from_generators` runs such passes as its rounds; its last
 round, in which no triple leaves the span, is the closure certificate,
 and the triples are not checked a second time.
@@ -32,7 +35,6 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_matrix,
-    hs_norm,
     intersect,
     orthonormalize,
     span_union,
@@ -121,6 +123,19 @@ def _square_of(space: Subspace, tol: Tolerance) -> Subspace:
     return orthonormalize(list(prods), dim=space.ambient_dim, tol=tol)
 
 
+def _null_in(space: Subspace, m: np.ndarray, tol: Tolerance) -> Subspace:
+    """The elements of ``space`` whose coordinates c in its basis solve
+    ``m c = 0``.  Singular values of ``m`` at or below the cutoff of the
+    largest one count as zero."""
+    d = space.ambient_dim
+    _, svals, vh = np.linalg.svd(m, full_matrices=False)
+    scale = float(svals[0]) if svals.size else 0.0
+    rank = int(np.sum(svals > tol.cutoff(scale)))
+    null = vh[rank:].conj()  # rows span the nullspace
+    mats = [(c @ space.vecs).reshape(d, d) for c in null]
+    return orthonormalize(mats, dim=d, tol=tol) if mats else Subspace.zero(d)
+
+
 def _center_of(space: Subspace, square: Subspace, tol: Tolerance) -> Subspace:
     """Solve ``a c - c a = 0`` for c in ``space``, over all a in ``square``.
 
@@ -138,13 +153,7 @@ def _center_of(space: Subspace, square: Subspace, tol: Tolerance) -> Subspace:
         comms = a[None, :, :] @ space.onb - space.onb @ a[None, :, :]
         rows.append(comms.reshape(space.dim, d * d).T)
     m = np.concatenate(rows, axis=0)  # (square.dim * d^2, space.dim)
-    _, svals, vh = np.linalg.svd(m, full_matrices=False)
-    scale = float(svals[0]) if svals.size else 0.0
-    cut = tol.cutoff(scale)
-    rank = int(np.sum(svals > cut))
-    null = vh[rank:].conj()  # rows span the nullspace
-    mats = [(c @ space.vecs).reshape(d, d) for c in null]
-    return orthonormalize(mats, dim=d, tol=tol) if mats else Subspace.zero(d)
+    return _null_in(space, m, tol)
 
 
 @dataclass(frozen=True)
@@ -229,14 +238,12 @@ def center_of(z: Tro) -> Subspace:
     return z.center
 
 
-def orthocomplement_ideal(z: Tro, ideal: Subspace,
-                          tol: Tolerance | float | None = None) -> Subspace:
+def orthocomplement_ideal(z: Tro, ideal: Subspace) -> Subspace:
     """``{x in Z : x j = 0 for every j in the ideal}``.
 
     With ``ideal = algebra_part(z)`` this is the complementary ternary
     ideal: together they span Z again.
     """
-    t = Tolerance.of(tol or z.tol)
     d = z.ambient_dim
     if z.dim == 0 or ideal.dim == 0:
         return Subspace(d, z.space.onb.copy())
@@ -244,19 +251,12 @@ def orthocomplement_ideal(z: Tro, ideal: Subspace,
     for j in ideal.onb:
         prods = z.space.onb @ j[None, :, :]
         cols.append(prods.reshape(z.dim, d * d).T)
-    m = np.concatenate(cols, axis=0)
-    _, svals, vh = np.linalg.svd(m, full_matrices=False)
-    scale = float(svals[0]) if svals.size else 0.0
-    rank = int(np.sum(svals > t.cutoff(scale)))
-    null = vh[rank:].conj()
-    mats = [(c @ z.space.vecs).reshape(d, d) for c in null]
-    return orthonormalize(mats, dim=d, tol=t) if mats else Subspace.zero(d)
+    return _null_in(z.space, np.concatenate(cols, axis=0), z.tol)
 
 
-def direct_sum(a: Tro, b: Tro, tol: Tolerance | float | None = None) -> Tro:
+def direct_sum(a: Tro, b: Tro) -> Tro:
     """Block-diagonal direct sum acting on the orthogonal sum of the
-    ambient spaces."""
-    t = Tolerance.of(tol or a.tol)
+    ambient spaces, certified at the tolerance of ``a``."""
     da, db = a.ambient_dim, b.ambient_dim
     d = da + db
     mats = []
@@ -268,12 +268,10 @@ def direct_sum(a: Tro, b: Tro, tol: Tolerance | float | None = None) -> Tro:
         big = np.zeros((d, d), dtype=complex)
         big[da:, da:] = m
         mats.append(big)
-    return Tro.from_matrices(mats, dim=d, tol=t)
+    return Tro.from_matrices(mats, dim=d, tol=a.tol)
 
 
-def reconstructs(z: Tro, parts: Sequence[Subspace],
-                 tol: Tolerance | float | None = None) -> bool:
+def reconstructs(z: Tro, parts: Sequence[Subspace]) -> bool:
     """True iff the parts together span exactly ``z.space``."""
-    t = Tolerance.of(tol or z.tol)
-    joined = span_union(*(list(parts) or [Subspace.zero(z.ambient_dim)]), tol=t)
-    return subspace_equal(joined, z.space, t)
+    joined = span_union(*(list(parts) or [Subspace.zero(z.ambient_dim)]), tol=z.tol)
+    return subspace_equal(joined, z.space, z.tol)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trokit
 from trokit import LinearMap, Tolerance, is_psd
 from trokit.cli import ParseError, format_matrix, main, parse_document
 
@@ -188,6 +190,13 @@ def test_commutative_discrete(capsys):
     assert report_value(out, "result") == "pass"
 
 
+def test_commutative_respects_max_blocks(capsys):
+    # the embedded classify splits disc4 into 4 joint blocks
+    code = main(["--max-blocks", "3", "commutative", fixture("disc4.cfs")])
+    capsys.readouterr()
+    assert code == 2
+
+
 def test_commutative_indiscrete(capsys):
     code, out = run(capsys, "commutative", fixture("indiscrete2.cfs"))
     assert code == 0
@@ -256,6 +265,17 @@ def test_kind_mismatch_is_usage_error(capsys):
     assert code == 2
 
 
+def test_tol_document_key_is_rejected(capsys, tmp_path):
+    text = Path(fixture("d2.tro")).read_text() + "tol: 0.5\n"
+    with pytest.raises(ParseError, match="unknown key 'tol'"):
+        parse_document(text)
+    path = tmp_path / "d2_tol.tro"
+    path.write_text(text)
+    code = main(["classify", str(path)])
+    assert "unknown key 'tol'" in capsys.readouterr().err
+    assert code == 2
+
+
 def test_missing_file_is_usage_error(capsys):
     code = main(["classify", fixture("does_not_exist.tro")])
     capsys.readouterr()
@@ -270,8 +290,11 @@ def test_flag_validation(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same trokit as this process, installed or not
+    src = str(Path(trokit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "trokit", "classify", fixture("d2.tro")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "trokit-report classify" in proc.stdout

@@ -166,6 +166,19 @@ def test_meet_examples():
     assert np.allclose(meet(a, a, host=z).u, a.u)
 
 
+def test_loose_host_decides_at_its_own_tolerance():
+    # at tol 1e-3 the span of diag(1, 1e-5) contains diag(1, 0), which
+    # it misses at 1e-9: certify and meet must use the host's tolerance
+    z = closure_from_generators([np.diag([1.0, 1e-5])], dim=2, tol=1e-3)
+    trips = enumerate_central_tripotents(z)
+    assert len(trips) == 3
+    for u in trips:
+        assert meet(u, u, host=z).is_central
+        assert Tripotent.certify(u.u, z).is_central
+    info = classify(z)
+    assert info.natural_cone_count == 3 and info.maximal_cone_count == 2
+
+
 def test_meet_requires_central_arguments():
     m2 = full_matrix_tro(2)
     non_central = Tripotent.certify(np.diag([1.0, 0.0]).astype(complex), host=m2)
@@ -319,9 +332,9 @@ def test_enumeration_certifies_each_sign_vector_once(monkeypatch):
     calls = []
     certify = Tripotent.certify
 
-    def counting(u, host=None, tol=None):
+    def counting(u, host):
         calls.append(1)
-        return certify(u, host=host, tol=tol)
+        return certify(u, host=host)
 
     monkeypatch.setattr(Tripotent, "certify", staticmethod(counting))
     trips = enumerate_central_tripotents(z)
@@ -333,9 +346,9 @@ def test_classify_computes_the_blocks_once(monkeypatch):
     calls = []
     blocks = tripotents_module.central_blocks
 
-    def counting(z, tol=None):
+    def counting(z):
         calls.append(1)
-        return blocks(z, tol)
+        return blocks(z)
 
     monkeypatch.setattr(tripotents_module, "central_blocks", counting)
     info = classify(diagonal_tro(3))
