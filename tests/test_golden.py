@@ -1,10 +1,13 @@
-"""Golden reports: the stdout of ``classify``, ``cones`` and ``meet``,
-compared byte for byte with committed expectations.
+"""Golden reports: the stdout of ``classify``, ``cones``, ``meet``,
+``commutative`` and ``checkmap``, compared byte for byte with committed
+expectations.
 
 The hosts are every ``.tro`` fixture plus the documents in
 ``golden/inputs`` (D_4, D_5, the block host M_1+M_1+M_2+M_1+M_1 and a
 unitary conjugation of D_3).  ``meet`` runs on two index pairs per host,
 taken from the tripotent count in the expected ``cones`` report.
+``commutative`` runs on every ``.cfs`` fixture and ``checkmap`` on every
+``.map`` fixture.
 
 The expected files record the reports of an earlier implementation;
 rewrite them with ``python tests/test_golden.py`` only for a report
@@ -23,6 +26,8 @@ import pytest
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
 HOSTS = sorted((HERE / "fixtures").glob("*.tro")) + sorted((GOLDEN / "inputs").glob("*.tro"))
+SPACES = sorted((HERE / "fixtures").glob("*.cfs"))
+MAPS = sorted((HERE / "fixtures").glob("*.map"))
 
 
 def meet_pairs(count: int) -> list[tuple[int, int]]:
@@ -42,6 +47,10 @@ def cases() -> list[tuple[str, list[str]]]:
             for u, v in meet_pairs(count):
                 out.append((f"{host.stem}.meet-{u}-{v}.out",
                             ["meet", str(host), "--u", str(u), "--v", str(v)]))
+    for space in SPACES:
+        out.append((f"{space.stem}.commutative.out", ["commutative", str(space)]))
+    for doc in MAPS:
+        out.append((f"{doc.stem}.checkmap.out", ["checkmap", str(doc)]))
     return out
 
 
