@@ -55,6 +55,18 @@ def _unmask(mask: int, n: int) -> frozenset[int]:
     return frozenset(p for p in range(n) if mask >> p & 1)
 
 
+def _tau_mask(mask: int, tau: tuple[int, ...]) -> int:
+    """The image of a set under tau, one step per point of the set;
+    bits beyond the points are dropped."""
+    out = 0
+    mask = int(mask) & ((1 << len(tau)) - 1)
+    while mask:
+        low = mask & -mask
+        out |= 1 << tau[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class FiniteInvolutiveSpace:
     """A finite topological space with a compatible involution.
@@ -62,8 +74,11 @@ class FiniteInvolutiveSpace:
     ``opens`` is the full family of open sets as bitmasks; ``tau`` is a
     permutation tuple with ``tau[tau[p]] == p``.  Fixed points are
     allowed; sections vanish there.  Construction validates the topology
-    axioms (finite case: closure under pairwise union and intersection
-    plus the two trivial sets) and tau-compatibility.
+    axioms and tau-compatibility.  Every open ``a`` is the union of the
+    minimal opens ``m(p)``, ``p in a``, so a family holding the two
+    trivial sets is closed under union and intersection iff it holds
+    ``a | m(p)`` for every open ``a`` and point ``p``: ``O(n |opens|)``
+    checks instead of one per pair of opens.
     """
 
     n: int
@@ -84,9 +99,6 @@ class FiniteInvolutiveSpace:
                 raise ValueError("open set outside the point range")
             if self.tau_mask(a) not in self.opens:
                 raise ValueError("involution does not map opens to opens")
-            for b in self.opens:
-                if (a | b) not in self.opens or (a & b) not in self.opens:
-                    raise ValueError("family is not closed under union/intersection")
         minimal = []
         for p in range(self.n):
             m = full
@@ -94,6 +106,8 @@ class FiniteInvolutiveSpace:
                 if a >> p & 1:
                     m &= a
             minimal.append(m)
+        if any(a | m not in self.opens for m in minimal for a in self.opens):
+            raise ValueError("family is not closed under union/intersection")
         object.__setattr__(self, "_minimal", tuple(minimal))
 
     @staticmethod
@@ -114,11 +128,7 @@ class FiniteInvolutiveSpace:
         return FiniteInvolutiveSpace(n=n, opens=masks, tau=t)
 
     def tau_mask(self, mask: int) -> int:
-        out = 0
-        for p in range(self.n):
-            if mask >> p & 1:
-                out |= 1 << self.tau[p]
-        return out
+        return _tau_mask(mask, self.tau)
 
     def orbit_representatives(self) -> list[int]:
         """Smaller endpoint of each free orbit; fixed points carry no
@@ -365,18 +375,11 @@ def _preorder_topologies(n: int, tau: tuple[int, ...]) -> list[frozenset[int]]:
     subset of m(p).  Compatibility forces m(tau p) = tau(m(p)), so only
     orbit representatives are free; at a fixed point the minimal open
     must itself be symmetric."""
-    def tau_mask(mask: int) -> int:
-        out = 0
-        for p in range(n):
-            if mask >> p & 1:
-                out |= 1 << tau[p]
-        return out
-
     reps = [p for p in range(n) if p <= tau[p]]
     choices: list[list[int]] = []
     for p in reps:
         opts = [m for m in range(1 << n)
-                if m >> p & 1 and (p < tau[p] or tau_mask(m) == m)]
+                if m >> p & 1 and (p < tau[p] or _tau_mask(m, tau) == m)]
         choices.append(opts)
 
     topologies = []
@@ -396,7 +399,7 @@ def _preorder_topologies(n: int, tau: tuple[int, ...]) -> list[frozenset[int]]:
         p = reps[idx]
         for cand in choices[idx]:
             minimal[p] = cand
-            minimal[tau[p]] = tau_mask(cand)
+            minimal[tau[p]] = _tau_mask(cand, tau)
             assign(idx + 1, minimal)
         minimal.pop(p, None)
         minimal.pop(tau[p], None)

@@ -28,11 +28,11 @@ from .linalg import (
 from .tro import Tro
 from .tripotents import (
     Tripotent,
+    _is_sign_cube,
     _sort_key,
     center_atoms,
     central_tripotents,
     meet,
-    sign_lattice_closed,
 )
 
 __all__ = [
@@ -127,8 +127,9 @@ def is_unorderable(z: Tro) -> bool:
 class ClassificationReport:
     """Counts and invariants describing the natural orderings of a *-TRO.
 
-    ``negation_closed`` and ``meet_closed`` are certified from the atoms
-    of the center (see :func:`trokit.tripotents.sign_lattice_closed`)."""
+    ``negation_closed`` and ``meet_closed`` hold iff the atoms of the
+    center are certified and the enumerated sign vectors are the whole
+    cube ``{-1, 0, 1}^c``, which is closed under both operations."""
 
     ambient_dim: int
     space_dim: int
@@ -149,26 +150,16 @@ def classify(z: Tro, max_blocks: int = 12) -> ClassificationReport:
     """Full ordering classification of a *-TRO.
 
     The center's atoms are computed once; the tripotents are their sign
-    vectors and the maximal ones those with full support.  The
-    decomposition dimensions are computed at each maximal tripotent and
-    verified to agree (they always do: maximal tripotents share the
-    same support projection)."""
+    vectors and the maximal ones those with full support.  Every maximal
+    tripotent has the support projection ``sum a_i^2``, so one
+    decomposition, at the first of them, covers all; a trivial center
+    decomposes at its zero tripotent into ``({0}, Z)``.  Both lattice
+    verdicts follow from the atom certificate and the sign cube."""
     atoms = center_atoms(z, max_blocks)
     tripotents = central_tripotents(z, atoms)
     maximal_indices = tuple(i for i, tp in enumerate(tripotents) if tp.has_full_support)
-    maximal = [tripotents[i] for i in maximal_indices]
-    if maximal:
-        seen: set[tuple[int, int]] = set()
-        for m in maximal:
-            part, comp = decompose(z, m)
-            seen.add((part.dim, comp.dim))
-        if len(seen) != 1:
-            raise RuntimeError(f"maximal tripotents disagree on decomposition: {seen}")
-        decomposition = next(iter(seen))
-    else:
-        decomposition = (0, z.dim)
-    negation_closed, meet_closed = sign_lattice_closed(
-        [tp.signs for tp in tripotents], atoms.certified)
+    part, comp = decompose(z, tripotents[maximal_indices[0] if maximal_indices else 0])
+    lattice = atoms.certified and _is_sign_cube([tp.signs for tp in tripotents])
     return ClassificationReport(
         ambient_dim=z.ambient_dim,
         space_dim=z.dim,
@@ -177,12 +168,12 @@ def classify(z: Tro, max_blocks: int = 12) -> ClassificationReport:
         center_dim=z.center.dim,
         block_count=len(atoms.projectors),
         natural_cone_count=len(tripotents),
-        maximal_cone_count=len(maximal),
+        maximal_cone_count=len(maximal_indices),
         unorderable=is_unorderable(z),
         maximal_indices=maximal_indices,
-        decomposition_dims=decomposition,
-        negation_closed=negation_closed,
-        meet_closed=meet_closed,
+        decomposition_dims=(part.dim, comp.dim),
+        negation_closed=lattice,
+        meet_closed=lattice,
     )
 
 

@@ -14,7 +14,10 @@ values agree up to one sign form an atom, a minimal central tripotent.
 The atoms are pairwise orthogonal and span the center, so the central
 tripotents are exactly the sign vectors in {-1, 0, 1}^dim(center) over
 them, and order, meet, negation and maximality act on sign vectors.
-The joint block count is capped to keep enumeration at desk scale.
+The cube is closed under negation and meet, so certified atoms plus one
+check that the listed vectors fill the cube decide both lattice
+properties.  The joint block count is capped to keep enumeration at
+desk scale.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "central_tripotents",
     "enumerate_central_tripotents",
     "maximal_central_tripotents",
-    "sign_lattice_closed",
 ]
 
 # fixed seed for the generic combination used in the joint diagonalization;
@@ -89,10 +91,6 @@ class Tripotent:
         if not host.space.contains(m, t):
             raise ValueError("tripotent does not lie in the host space")
         return Tripotent(u=m, is_central=host.center.contains(m, t))
-
-    def negated(self) -> "Tripotent":
-        signs = None if self.signs is None else tuple(-e for e in self.signs)
-        return Tripotent(u=-self.u, is_central=self.is_central, signs=signs)
 
     def projection_split(self) -> tuple[np.ndarray, np.ndarray]:
         """The unique orthogonal projections p, q with u = p - q, pq = 0."""
@@ -324,6 +322,23 @@ def enumerate_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent
     return central_tripotents(z, center_atoms(z, max_blocks))
 
 
+def _is_sign_cube(signs: list[tuple[int, ...]]) -> bool:
+    """True iff the sign vectors, with entries in ``{-1, 0, 1}``, are
+    exactly ``{-1, 0, 1}^c``, each once: one ``bincount`` of their
+    base-3 codes.
+
+    The cube is closed under ``-eps`` and under the sign meet, which
+    keeps ``eps_i`` where ``eps_i = delta_i`` and is 0 elsewhere: both
+    map every entry into ``{-1, 0, 1}``.  Over certified atoms (see
+    :func:`atoms_certificate`) the listed tripotents are then closed
+    under negation and meet, for every vector and every pair.
+    """
+    s = np.asarray(signs, dtype=np.int64).reshape(len(signs), -1)
+    c = s.shape[1]
+    counts = np.bincount((s + 1) @ 3 ** np.arange(c), minlength=3 ** c)
+    return bool((counts == 1).all())
+
+
 def _sort_key(u: np.ndarray) -> tuple:
     flat = u.ravel()
     re = np.round(flat.real, 9) + 0.0
@@ -339,34 +354,3 @@ def maximal_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:
     generates no ordering).
     """
     return central_tripotents(z, center_atoms(z, max_blocks), maximal=True)
-
-
-def sign_lattice_closed(signs: list[tuple[int, ...]], certified: bool) -> tuple[bool, bool]:
-    """(negation-closed, meet-closed) for the central tripotents with the
-    given sign vectors over atoms whose certificate is ``certified``.
-
-    With certified atoms the negation of ``eps`` is ``-eps`` and the
-    meet of ``eps`` and ``delta`` keeps ``eps`` where the two agree (see
-    :func:`atoms_certificate`); each is looked up among the listed
-    vectors, for every vector and every pair.  Without the certificate
-    neither property is established.
-    """
-    s = np.asarray(signs, dtype=float).reshape(len(signs), -1)
-    n, c = s.shape
-    weights = 3.0 ** np.arange(c)
-    zero_code = (3 ** c - 1) // 2  # base-3 digits eps_k + 1
-    listed = np.zeros(3 ** c, dtype=bool)
-    listed[np.rint(s @ weights + zero_code).astype(np.int64)] = True
-
-    def all_listed(codes: np.ndarray) -> bool:
-        return bool(listed[np.rint(codes).astype(np.int64)].all())
-
-    negation = certified and all_listed(zero_code - s @ weights)
-    # on {-1, 0, 1} the meet is (eps |delta| + eps^2 delta) / 2 entrywise,
-    # so the codes of all meets with one block of rows are one matrix product
-    left = np.hstack([s * weights, s * s * weights])
-    right = np.hstack([np.abs(s), s]).T
-    rows = max(1, (1 << 20) // max(1, n))
-    meets = certified and all(all_listed(left[i:i + rows] @ right / 2 + zero_code)
-                              for i in range(0, n, rows))
-    return negation, meets

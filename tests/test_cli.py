@@ -70,6 +70,22 @@ def test_parse_errors_carry_line_numbers():
         parse_document("kind: widget\n")
 
 
+def test_dim_above_the_cap_exits_2_before_any_row(capsys, tmp_path):
+    rows = "\n".join(" ".join(["[0,0]"] * 13) for _ in range(13))
+    path = tmp_path / "m13.tro"
+    path.write_text(f"kind: tro\ndim: 13\ngenerator:\n{rows}\n")
+    assert main(["classify", str(path)]) == 2
+    assert "line 2: 'dim' 13 exceeds the cap 12" in capsys.readouterr().err
+    with pytest.raises(ParseError, match="line 3: 'codim' 14 exceeds the cap 12"):
+        # refused at the codim line, before the malformed generator row
+        parse_document("kind: map\ndim: 2\ncodim: 14\ngenerator:\n[bad]\n")
+    unit = "\n".join(" ".join("[1,0]" if r == c else "[0,0]" for c in range(12))
+                     for r in range(12))
+    doc = parse_document(f"kind: tro\ndim: 12\ngenerator:\n{unit}\n")
+    assert doc.dim == 12
+    assert np.allclose(doc.generators[0], np.eye(12))
+
+
 def test_format_matrix_normalizes_negative_zero():
     rows = format_matrix(np.array([[-0.0 + 0.0j]]))
     assert rows == ["[0,0]"]

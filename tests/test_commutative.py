@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trokit import (
     FiniteInvolutiveSpace,
@@ -50,6 +52,51 @@ def test_build_validates_topology():
     # union/intersection closure violation
     with pytest.raises(ValueError):
         FiniteInvolutiveSpace.build(4, (1, 0, 3, 2), opens=[{0, 2}, {1, 3}, {0, 3}, {1, 2}])
+
+
+@st.composite
+def _families(draw):
+    """(n, tau, opens): an involution on 1-5 points and a family of
+    subsets holding the empty and the full set.  Half the families are
+    closed under union, intersection and tau before one set may be
+    dropped again, so topologies and near-topologies both occur."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(n)))
+    swaps = draw(st.integers(0, n // 2))
+    tau = list(range(n))
+    for i in range(swaps):
+        a, b = order[2 * i], order[2 * i + 1]
+        tau[a], tau[b] = b, a
+    full = (1 << n) - 1
+    opens = {0, full} | set(draw(st.lists(st.integers(0, full), max_size=8)))
+    if draw(st.booleans()):
+        while True:
+            grown = opens | {a | b for a in opens for b in opens} \
+                | {a & b for a in opens for b in opens} \
+                | {sum(1 << tau[p] for p in range(n) if a >> p & 1) for a in opens}
+            if grown == opens:
+                break
+            opens = grown
+        extra = sorted(opens - {0, full})
+        if extra and draw(st.booleans()):
+            opens.discard(draw(st.sampled_from(extra)))
+    return n, tuple(tau), frozenset(opens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families())
+def test_topology_check_matches_pairwise_rule(family):
+    n, tau, opens = family
+    tau_closed = all(sum(1 << tau[p] for p in range(n) if a >> p & 1) in opens
+                     for a in opens)
+    pairwise = all(a | b in opens and a & b in opens for a in opens for b in opens)
+    if tau_closed and pairwise:
+        FiniteInvolutiveSpace(n=n, opens=opens, tau=tau)
+        return
+    message = ("involution does not map opens to opens" if not tau_closed
+               else "family is not closed under union/intersection")
+    with pytest.raises(ValueError, match=message):
+        FiniteInvolutiveSpace(n=n, opens=opens, tau=tau)
 
 
 def test_section_space_dimensions():

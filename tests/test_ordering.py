@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trokit import (
     NaturalCone,
     Tripotent,
     classify,
+    closure_from_generators,
     cone_intersection_is_meet,
     cone_membership,
     decompose,
+    direct_sum,
     enumerate_central_tripotents,
     is_psd,
     is_unorderable,
@@ -234,3 +238,49 @@ def test_cone_intersection_is_meet_exhaustive_on_d2(rng):
         for v in trips:
             ok, witness = cone_intersection_is_meet(u, v, z, rng)
             assert ok, (u.u, v.u, witness)
+
+
+def _report_invariants(info) -> tuple:
+    """The report fields that do not depend on a basis: every count,
+    the number of maximal indices, the decomposition and both verdicts."""
+    return (info.ambient_dim, info.space_dim, info.square_dim, info.algebra_part_dim,
+            info.center_dim, info.block_count, info.natural_cone_count,
+            info.maximal_cone_count, len(info.maximal_indices), info.unorderable,
+            info.decomposition_dims, info.negation_closed, info.meet_closed)
+
+
+def _check_sum_with_d1(z) -> None:
+    """Z + D_1 adds one atom: one more center dimension, three times the
+    cones, twice the maximal ones (0 becomes 2 for a trivial center),
+    and the new unit joins the first part of the decomposition."""
+    info = classify(z)
+    grown = classify(direct_sum(z, diagonal_tro(1)))
+    assert grown.center_dim == info.center_dim + 1
+    assert grown.natural_cone_count == 3 * info.natural_cone_count
+    assert grown.maximal_cone_count == max(2, 2 * info.maximal_cone_count)
+    assert grown.decomposition_dims == (info.decomposition_dims[0] + 1,
+                                        info.decomposition_dims[1])
+    assert grown.negation_closed and grown.meet_closed
+
+
+@settings(max_examples=8, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda ds: sum(ds) <= 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_classify_report_survives_conjugation_scaling_and_sums(dims, seed):
+    z = block_host(*dims)
+    gens = z.space.basis()
+    d = z.ambient_dim
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    expect = _report_invariants(classify(z))
+    assert expect[4] == len(dims)
+    for moved in ([u @ g @ u.conj().T for g in gens],
+                  [1e-6 * g for g in gens],
+                  [1e6 * g for g in gens]):
+        assert _report_invariants(classify(closure_from_generators(moved, dim=d))) == expect
+    _check_sum_with_d1(z)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sum_with_d1_orders_a_corner_space(d):
+    _check_sum_with_d1(corner_tro(d))

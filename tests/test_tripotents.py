@@ -32,9 +32,10 @@ from trokit import (
     matrix_unit,
     maximal_central_tripotents,
     meet,
-    sign_lattice_closed,
 )
+from trokit import ordering as ordering_module
 from trokit import tripotents as tripotents_module
+from trokit.tripotents import _is_sign_cube
 
 from hosts import block_host, corner_tro, diagonal_tro, full_matrix_tro
 
@@ -296,28 +297,62 @@ def test_atoms_certificate_rejects_non_orthogonal_atoms():
     assert not atoms_certificate([e1, 2 * e2], z)  # not a tripotent
 
 
-def test_sign_lattice_checks_need_the_certificate_and_every_vector():
+def _pairwise_closed(signs) -> tuple[bool, bool]:
+    """(negation-closed, meet-closed) of a set of sign vectors, every
+    vector and every pair looked up."""
+    listed = set(signs)
+    negation = all(tuple(-e for e in v) in listed for v in signs)
+    meets = all(tuple(a if a == b else 0 for a, b in zip(u, v)) in listed
+                for u in signs for v in signs)
+    return negation, meets
+
+
+def test_sign_cube_examples():
     cube = list(product((-1, 0, 1), repeat=3))
-    assert sign_lattice_closed(cube, certified=True) == (True, True)
-    # without the atom certificate neither check can pass
-    assert sign_lattice_closed(cube, certified=False) == (False, False)
+    assert _is_sign_cube(cube)
+    assert _pairwise_closed(cube) == (True, True)
+    assert _is_sign_cube([()])  # the trivial center: one zero tripotent
     # (1, 1, 0) is the meet of (1, 1, 1) and (1, 1, -1) and the negation of (-1, -1, 0)
-    partial = [e for e in cube if e != (1, 1, 0)]
-    assert sign_lattice_closed(partial, certified=True) == (False, False)
+    assert not _is_sign_cube([e for e in cube if e != (1, 1, 0)])
+    assert not _is_sign_cube(cube + [(1, 1, 0)])  # a vector listed twice
     # closed under negation but not under meets
-    pair = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
-    assert sign_lattice_closed(pair, certified=True) == (True, False)
+    assert not _is_sign_cube([(1, 1), (-1, -1), (1, -1), (-1, 1)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3).flatmap(lambda c: st.lists(
     st.tuples(*[st.sampled_from((-1, 0, 1))] * c), min_size=1, unique=True)))
-def test_sign_lattice_lookup_matches_pairwise_brute_force(signs):
-    listed = set(signs)
-    negation = all(tuple(-e for e in v) in listed for v in signs)
-    meets = all(tuple(a if a == b else 0 for a, b in zip(u, v)) in listed
-                for u in signs for v in signs)
-    assert sign_lattice_closed(signs, certified=True) == (negation, meets)
+def test_sign_cube_check_accepts_exactly_the_full_cube(signs):
+    c = len(signs[0])
+    full = set(signs) == set(product((-1, 0, 1), repeat=c))
+    assert _is_sign_cube(signs) == full
+    assert _is_sign_cube(sorted(signs, reverse=True)) == full
+    if full:
+        assert _pairwise_closed(signs) == (True, True)
+
+
+def test_classify_reports_both_verdicts_false_without_the_certificate(monkeypatch):
+    monkeypatch.setattr(tripotents_module, "atoms_certificate", lambda atoms, z: False)
+    info = classify(diagonal_tro(2))
+    assert (info.negation_closed, info.meet_closed) == (False, False)
+    assert info.natural_cone_count == 9
+
+
+@pytest.mark.parametrize("host,dims", [(lambda: diagonal_tro(3), (3, 0)),
+                                       (lambda: corner_tro(3), (0, 4))])
+def test_classify_decomposes_once(monkeypatch, host, dims):
+    z = host()
+    calls = []
+    decompose = ordering_module.decompose
+
+    def counting(z, u):
+        calls.append(u.signs)
+        return decompose(z, u)
+
+    monkeypatch.setattr(ordering_module, "decompose", counting)
+    info = classify(z)
+    assert len(calls) == 1
+    assert info.decomposition_dims == dims
 
 
 def test_classify_reports_certified_lattice_checks():
