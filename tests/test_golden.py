@@ -7,7 +7,8 @@ The hosts are every ``.tro`` fixture plus the documents in
 unitary conjugation of D_3).  ``meet`` runs on two index pairs per host,
 taken from the tripotent count in the expected ``cones`` report.
 ``commutative`` runs on every ``.cfs`` fixture and ``checkmap`` on every
-``.map`` fixture.
+``.map`` fixture.  ``classify``, ``cones``, ``commutative`` and
+``checkmap`` also run at each of ``TOLS``, the tolerance in the file name.
 
 The expected files record the reports of an earlier implementation;
 rewrite them with ``python tests/test_golden.py`` only for a report
@@ -28,6 +29,7 @@ GOLDEN = HERE / "golden"
 HOSTS = sorted((HERE / "fixtures").glob("*.tro")) + sorted((GOLDEN / "inputs").glob("*.tro"))
 SPACES = sorted((HERE / "fixtures").glob("*.cfs"))
 MAPS = sorted((HERE / "fixtures").glob("*.map"))
+TOLS = ("1e-6", "1e-3")
 
 
 def meet_pairs(count: int) -> list[tuple[int, int]]:
@@ -51,6 +53,11 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"{space.stem}.commutative.out", ["commutative", str(space)]))
     for doc in MAPS:
         out.append((f"{doc.stem}.checkmap.out", ["checkmap", str(doc)]))
+    for tol in TOLS:
+        runs = [(doc, cmd) for doc in HOSTS for cmd in ("classify", "cones")]
+        runs += [(doc, "commutative") for doc in SPACES] + [(doc, "checkmap") for doc in MAPS]
+        for doc, cmd in runs:
+            out.append((f"{doc.stem}.{cmd}.tol-{tol}.out", ["--tol", tol, cmd, str(doc)]))
     return out
 
 
