@@ -344,6 +344,8 @@ def vanishing_ideal(sections: SectionSpace,
     sp = sections.space
     mask = _mask(closed_set)
     full = (1 << sp.n) - 1
+    if mask & ~full:
+        raise ValueError("closed set outside the point range")
     if (full & ~mask) not in sp.opens:
         raise ValueError("vanishing ideals are indexed by closed sets")
     if sp.tau_mask(mask) != mask:

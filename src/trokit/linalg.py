@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "EPS_FLOOR",
     "Tolerance",
     "TOL",
     "Subspace",
@@ -42,19 +43,27 @@ __all__ = [
 ]
 
 
+# smallest accepted tolerance: below it rounding beats the cutoffs.  The
+# classify dimensions of the committed inputs were wrong on 4 of 9 hosts
+# at 1e-16 (M_2's center came out 0) and on the conjugated D_3 up to
+# 2e-15, and right on all from 3e-15 up
+EPS_FLOOR = 64 * float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Relative tolerance used by every approximate decision.
 
     ``cutoff(scale)`` is the absolute threshold below which a residual of
-    magnitude comparable to ``scale`` is treated as zero.
+    magnitude comparable to ``scale`` is treated as zero.  ``eps`` lies in
+    ``[EPS_FLOOR, 1)``.
     """
 
     eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+        if not (EPS_FLOOR <= self.eps < 1.0):
+            raise ValueError(f"eps must lie in [{EPS_FLOOR:.3g}, 1), got {self.eps}")
 
     def cutoff(self, scale: float = 1.0) -> float:
         return self.eps * max(1.0, float(scale))

@@ -187,8 +187,8 @@ def induced_hom(t_map: LinearMap) -> tuple[LinearMap, bool]:
     t = z.tol
     d = z.ambient_dim
     basis = z.space.onb
+    square_tro = Tro.certify(z.square, t)
     if len(basis) == 0:
-        square_tro = Tro.certify(z.square, t)
         return LinearMap(square_tro, t_map.codomain_dim,
                          np.zeros((t_map.codomain_dim ** 2, d * d), dtype=complex)), True
     xs = []
@@ -204,7 +204,6 @@ def induced_hom(t_map: LinearMap) -> tuple[LinearMap, bool]:
     resid = float(np.linalg.norm(m @ xmat - ymat))
     scale = float(np.linalg.norm(ymat))
     well_defined = resid <= t.cutoff(scale)
-    square_tro = Tro.certify(z.square, t)
     return LinearMap(square_tro, t_map.codomain_dim, m), well_defined
 
 
@@ -372,27 +371,16 @@ def period_two_automorphism(z: Tro) -> Automorphism:
     Z^2 and (-1)-eigenspace Z.
     """
     t = z.tol
-    d = z.ambient_dim
     if z.alg_part.dim != 0:
         raise ValueError("Z intersects its square; the flip automorphism needs Z \\cap Z^2 = 0")
     alg = Tro.certify(span_union(z.square, z.space, tol=t), t)
     if alg.dim != z.square.dim + z.dim:
         raise ValueError("square and module overlap unexpectedly")
-    cols = []
-    flipped = []
-    for b in z.square.onb:
-        cols.append(b.ravel())
-        flipped.append(b.ravel())
-    for b in z.space.onb:
-        cols.append(b.ravel())
-        flipped.append(-b.ravel())
-    basis_mat = np.stack(cols, axis=1)
-    image_mat = np.stack(flipped, axis=1)
-    theta = image_mat @ np.linalg.pinv(basis_mat)
-
-    def act(m: np.ndarray) -> np.ndarray:
-        return (theta @ m.ravel()).reshape(d, d)
-
+    basis_mat = np.concatenate([z.square.vecs, z.space.vecs]).T
+    image_mat = np.concatenate([z.square.vecs, -z.space.vecs]).T
+    auto = Automorphism(algebra=alg, module=z.space, square=z.square,
+                        matrix=image_mat @ np.linalg.pinv(basis_mat))
+    act = auto.apply
     for b in alg.space.onb:
         tb = act(b)
         if hs_norm(act(tb) - b) > t.cutoff(1.0):
@@ -403,4 +391,4 @@ def period_two_automorphism(z: Tro) -> Automorphism:
         for b in alg.space.onb:
             if hs_norm(act(a @ b) - act(a) @ act(b)) > t.cutoff(1.0):
                 raise RuntimeError("flip automorphism failed multiplicativity")
-    return Automorphism(algebra=alg, module=z.space, square=z.square, matrix=theta)
+    return auto

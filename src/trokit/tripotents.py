@@ -14,10 +14,11 @@ values agree up to one sign form an atom, a minimal central tripotent.
 The atoms are pairwise orthogonal and span the center, so the central
 tripotents are exactly the sign vectors in {-1, 0, 1}^dim(center) over
 them, and order, meet, negation and maximality act on sign vectors.
-The cube is closed under negation and meet, so certified atoms plus one
-check that the listed vectors fill the cube decide both lattice
-properties.  The joint block count is capped to keep enumeration at
-desk scale.
+The atom certificate alone certifies every listed sign sum; a center
+whose atoms fail it is refused with a :class:`TroError`.  The cube is
+closed under negation and meet, so certified atoms plus one check that
+the listed vectors fill the cube decide both lattice properties.  The
+joint block count is capped to keep enumeration at desk scale.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Subspace, Tolerance, adjoint, as_matrix, hs_norm, is_hermitian, op_norm
-from .tro import Tro
+from .tro import Tro, TroError
 
 __all__ = [
     "Tripotent",
@@ -249,12 +250,18 @@ def atoms_certificate(atoms: list[np.ndarray], z: Tro) -> bool:
     return True
 
 
+def _uncertifiable(z: Tro) -> TroError:
+    return TroError(f"the center does not split into {z.center.dim} certified "
+                    f"atoms at tol {z.tol.eps:g}")
+
+
 def center_atoms(z: Tro, max_blocks: int = 12) -> CenterAtoms:
     """Group the joint eigenblocks of the center into its atoms.
 
     Every central element is a scalar on each block; two blocks belong
     to the same atom iff the values of the center family on them agree
     up to one sign.  Blocks where the family vanishes belong to no atom.
+    Raises :class:`TroError` unless they form ``dim(center)`` atoms.
     """
     if z.center.dim == 0:
         return CenterAtoms((), np.zeros((0, 0), dtype=int), True)
@@ -283,43 +290,44 @@ def center_atoms(z: Tro, max_blocks: int = 12) -> CenterAtoms:
             layout[b, len(reps)] = 1
             reps.append(col)
     if len(reps) != z.center.dim:
-        raise RuntimeError(
-            f"joint eigenblocks group into {len(reps)} atoms, expected "
-            f"{z.center.dim} = dim(center); joint-block refinement is suspect")
+        raise _uncertifiable(z)
     layout = layout[:, :len(reps)]
     projectors = tuple(q @ q.conj().T for q in blocks)
     unchecked = CenterAtoms(projectors, layout, False)
     return CenterAtoms(projectors, layout, atoms_certificate(unchecked.atoms(), z))
 
 
+def _certified_atoms(z: Tro, max_blocks: int) -> CenterAtoms:
+    atoms = center_atoms(z, max_blocks)
+    if not atoms.certified:
+        raise _uncertifiable(z)
+    return atoms
+
+
 def central_tripotents(z: Tro, atoms: CenterAtoms,
                        maximal: bool = False) -> list[Tripotent]:
-    """The central tripotents over the given atoms, each certified and
-    carrying its sign vector; only the full-support ones when
-    ``maximal``.  Sorted by rounded matrix entries."""
+    """The sign sums over the given atoms, each carrying its sign vector;
+    only the full-support ones when ``maximal``.  Sorted by rounded
+    matrix entries.  None is certified on its own: ``atoms.certified``
+    proves them all central tripotents (see :func:`atoms_certificate`)."""
     if atoms.count == 0:
         zero = Tripotent(np.zeros((z.ambient_dim,) * 2, dtype=complex), True, ())
         return [] if maximal else [zero]
-    found = []
-    for eps in itertools.product((-1, 1) if maximal else (-1, 0, 1), repeat=atoms.count):
-        tp = Tripotent.certify(atoms.matrix(eps), host=z)
-        if not tp.is_central:
-            raise RuntimeError(
-                f"sign vector {eps} gives a tripotent outside the center; "
-                "joint-block refinement is suspect")
-        found.append(Tripotent(tp.u, True, eps))
+    codes = itertools.product((-1, 1) if maximal else (-1, 0, 1), repeat=atoms.count)
+    found = [Tripotent(atoms.matrix(eps), True, eps) for eps in codes]
     found.sort(key=lambda tp: _sort_key(tp.u))
     return found
 
 
 def enumerate_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:
     """All selfadjoint tripotents in the center of z, zero included:
-    the ``3^dim(center)`` sign vectors over the atoms.
+    the ``3^dim(center)`` sign vectors over the atoms.  Raises
+    :class:`TroError` unless the atoms are certified.
 
     Deterministic: the result is sorted by rounded matrix entries, so
     indices are stable across runs and platforms.
     """
-    return central_tripotents(z, center_atoms(z, max_blocks))
+    return central_tripotents(z, _certified_atoms(z, max_blocks))
 
 
 def _is_sign_cube(signs: list[tuple[int, ...]]) -> bool:
@@ -351,6 +359,7 @@ def maximal_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:
     vectors with full support.  These are exactly the maximal elements
     of the tripotent order whenever the center is nonzero; for a trivial
     center the list is empty (only the zero tripotent exists and it
-    generates no ordering).
+    generates no ordering).  Raises :class:`TroError` as
+    :func:`enumerate_central_tripotents` does.
     """
-    return central_tripotents(z, center_atoms(z, max_blocks), maximal=True)
+    return central_tripotents(z, _certified_atoms(z, max_blocks), maximal=True)

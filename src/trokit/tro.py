@@ -56,7 +56,8 @@ __all__ = [
 
 
 class TroError(ValueError):
-    """Raised when a subspace fails *-TRO certification."""
+    """Raised when a subspace fails *-TRO certification, or its center
+    fails the atom certificate (see :mod:`trokit.tripotents`)."""
 
 
 def ternary_product(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ import pytest
 
 import trokit
 from trokit import LinearMap, Tolerance, is_psd
+from trokit import tripotents as tripotents_module
 from trokit.cli import ParseError, format_matrix, main, parse_document
+from trokit.linalg import EPS_FLOOR
 
 from hosts import full_matrix_tro
 
@@ -84,6 +86,26 @@ def test_dim_above_the_cap_exits_2_before_any_row(capsys, tmp_path):
     doc = parse_document(f"kind: tro\ndim: 12\ngenerator:\n{unit}\n")
     assert doc.dim == 12
     assert np.allclose(doc.generators[0], np.eye(12))
+
+
+def test_points_above_the_cap_exits_2_before_tau(capsys, tmp_path):
+    path = tmp_path / "disc13.cfs"
+    # the malformed tau and open lines are never read
+    path.write_text("kind: commutative\npoints: 13\ntau: x\nopen: y\n")
+    assert main(["commutative", str(path)]) == 2
+    assert "line 2: 'points' 13 exceeds the cap 12" in capsys.readouterr().err
+    tau = " ".join(str(p ^ 1) for p in range(12))
+    doc = parse_document(f"kind: commutative\npoints: 12\ntau: {tau}\ntopology: discrete\n")
+    assert doc.points == 12 and doc.discrete
+
+
+def test_tolerance_below_the_floor_exits_2(capsys):
+    # at 1e-16 rounding beats the cutoffs: M_2 used to report a zero center
+    assert main(["--tol", "1e-16", "classify", fixture("m2.tro")]) == 2
+    assert "eps must lie in" in capsys.readouterr().err
+    code, out = run(capsys, "--tol", repr(EPS_FLOOR), "classify", fixture("m2.tro"))
+    assert code == 0
+    assert report_value(out, "center-dim") == "1"
 
 
 def test_format_matrix_normalizes_negative_zero():
@@ -303,6 +325,38 @@ def test_flag_validation(capsys):
     assert main(["--max-blocks", "0", "classify", fixture("d2.tro")]) == 2
     assert main(["--tol", "-1.0", "classify", fixture("d2.tro")]) == 2
     capsys.readouterr()
+
+
+def test_uncertified_center_is_refused_with_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(tripotents_module, "atoms_certificate", lambda atoms, z: False)
+    assert main(["cones", fixture("d2.tro")]) == 2
+    assert main(["meet", fixture("d2.tro"), "--u", "0", "--v", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: the center does not split into 2 certified atoms at tol 1e-09") == 2
+    # classify reports the failed certificate instead of refusing
+    code, out = run(capsys, "classify", fixture("d2.tro"))
+    assert code == 1
+    assert "check negation-closure fail" in out and "check meet-closure fail" in out
+
+
+GRID_INPUTS = (sorted(FIXTURES.glob("*.tro"))
+               + sorted((FIXTURES.parent / "golden" / "inputs").glob("*.tro")))
+GRID_COMMANDS = ([[cmd, str(h)] for h in GRID_INPUTS for cmd in ("classify", "cones")]
+                 + [["meet", str(h), "--u", "0", "--v", "0"] for h in GRID_INPUTS]
+                 + [["commutative", str(p)] for p in sorted(FIXTURES.glob("*.cfs"))]
+                 + [["checkmap", str(p)] for p in sorted(FIXTURES.glob("*.map"))])
+
+
+@pytest.mark.parametrize("tol", ["1e-15", "1e-12", "1e-3", "0.05", "0.2", "0.5", "0.9"])
+def test_no_exception_escapes_at_any_tolerance(capsys, tol):
+    # every command on every fixture and golden input ends in an exit code;
+    # the refusals here are the tolerance floor and an uncertifiable center
+    for argv in GRID_COMMANDS:
+        code = main(["--tol", tol] + argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert "eps must lie in" in err or "certified atoms at tol" in err, (argv, err)
 
 
 def test_module_entry_point_runs():

@@ -272,6 +272,12 @@ def test_vanishing_ideal_validates_input():
     vanishing_ideal(build_sections(indiscrete4), frozenset({0, 1, 2, 3}))
 
 
+def test_vanishing_ideal_refuses_a_point_outside_the_range():
+    secs = build_sections(four_point_discrete())  # tau = (1, 0, 3, 2)
+    with pytest.raises(ValueError, match="closed set outside the point range"):
+        vanishing_ideal(secs, frozenset({5}))
+
+
 def test_vanishing_ideals_are_ternary_ideals_and_biject():
     # discrete case: closed symmetric sets correspond one to one with
     # ternary ideals of the section space, reversing inclusion

@@ -28,6 +28,7 @@ from trokit import (
     span_union,
     subspace_equal,
 )
+from trokit.linalg import EPS_FLOOR
 
 
 def random_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -39,6 +40,9 @@ def test_tolerance_validation():
         Tolerance(0.0)
     with pytest.raises(ValueError):
         Tolerance(2.0)
+    with pytest.raises(ValueError):
+        Tolerance(1e-16)  # below the rounding floor
+    assert Tolerance(EPS_FLOOR).eps == EPS_FLOOR
     assert Tolerance.of(None).eps == 1e-9
     assert Tolerance.of(1e-6).eps == 1e-6
     t = Tolerance(1e-8)

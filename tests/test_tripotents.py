@@ -19,6 +19,7 @@ from trokit import (
     BlockCapError,
     FiniteInvolutiveSpace,
     Tripotent,
+    TroError,
     atoms_certificate,
     build_sections,
     center_atoms,
@@ -360,21 +361,103 @@ def test_classify_reports_certified_lattice_checks():
     assert info.negation_closed and info.meet_closed
 
 
-def test_enumeration_certifies_each_sign_vector_once(monkeypatch):
-    # 8 points in 4 swapped pairs: 8 joint blocks but 4 atoms, so 3^4
-    # sign vectors where 3^8 block codes would be tried blockwise
-    z = _discrete_embedding(8)
-    calls = []
+def _count_certifications(monkeypatch) -> tuple[list, list]:
+    """Record every ``Tripotent.certify`` and ``atoms_certificate`` call."""
+    certify_calls, certificate_calls = [], []
     certify = Tripotent.certify
+    certificate = tripotents_module.atoms_certificate
 
-    def counting(u, host):
-        calls.append(1)
+    def counting_certify(u, host):
+        certify_calls.append(1)
         return certify(u, host=host)
 
-    monkeypatch.setattr(Tripotent, "certify", staticmethod(counting))
+    def counting_certificate(atoms, z):
+        certificate_calls.append(1)
+        return certificate(atoms, z)
+
+    monkeypatch.setattr(Tripotent, "certify", staticmethod(counting_certify))
+    monkeypatch.setattr(tripotents_module, "atoms_certificate", counting_certificate)
+    return certify_calls, certificate_calls
+
+
+def test_enumeration_certifies_each_sign_vector_once(monkeypatch):
+    # 8 points in 4 swapped pairs: 8 joint blocks but 4 atoms, so 3^4
+    # sign vectors where 3^8 block codes would be tried blockwise; the
+    # one atom certificate covers all 81, none is certified on its own
+    z = _discrete_embedding(8)
+    certify_calls, certificate_calls = _count_certifications(monkeypatch)
     trips = enumerate_central_tripotents(z)
     assert len(trips) == 81
-    assert len(calls) == 81
+    assert len(certify_calls) == 0
+    assert len(certificate_calls) == 1
+
+
+def test_only_meet_certifies_a_tripotent_on_its_own(monkeypatch):
+    z = block_host(2, 1)
+    certify_calls, _ = _count_certifications(monkeypatch)
+    trips = enumerate_central_tripotents(z)
+    info = classify(z)
+    assert (len(trips), len(maximal_central_tripotents(z)), info.natural_cone_count) == (9, 4, 9)
+    assert len(certify_calls) == 0
+    assert meet(trips[0], trips[-1], z).is_central
+    assert len(certify_calls) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda ds: sum(ds) <= 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_per_vector_certification_confirms_every_enumerated_tripotent(dims, seed):
+    # per-vector certification is the oracle for the atom certificate, on
+    # block hosts conjugated by a random unitary and scaled
+    d = sum(dims)
+    gens = block_host(*dims).space.basis()
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    for scale in (1.0, 1e-6, 1e6):
+        z = closure_from_generators([scale * u @ g @ u.conj().T for g in gens], dim=d)
+        trips = enumerate_central_tripotents(z)
+        assert len(trips) == 3 ** len(dims)
+        for tp in trips:
+            checked = Tripotent.certify(tp.u, host=z)
+            assert checked.is_central
+            assert np.array_equal(checked.u, tp.u)
+
+
+def test_uncertified_center_is_refused(monkeypatch):
+    # blocks that group into too few atoms: M_1+M_1+M_2+M_1+M_1 at tol 0.5
+    gens = block_host(1, 1, 2, 1, 1).space.basis()
+    with pytest.raises(TroError, match="does not split into 5 certified atoms at tol 0.5"):
+        center_atoms(closure_from_generators(gens, dim=6, tol=0.5))
+    # atoms that fail their certificate
+    monkeypatch.setattr(tripotents_module, "atoms_certificate", lambda atoms, z: False)
+    for listing in (enumerate_central_tripotents, maximal_central_tripotents):
+        with pytest.raises(TroError, match="does not split into 2 certified atoms at tol 1e-09"):
+            listing(diagonal_tro(2))
+
+
+@pytest.mark.parametrize("host", [lambda: diagonal_tro(3),
+                                  lambda: _conjugated(block_host(1, 2, 1), 7)])
+def test_block_refinement_splits_a_merged_first_clustering(monkeypatch, host):
+    # when the generic combination repeats an eigenvalue across blocks,
+    # the refinement by each family member must split them apart
+    z = host()
+    expect_blocks = [q @ q.conj().T for q in central_blocks(z)]
+    expect_report = classify(z)
+    cluster = tripotents_module._cluster
+    calls = []
+
+    def merged_first(values, thr):
+        calls.append(1)
+        return [np.arange(len(values))] if len(calls) == 1 else cluster(values, thr)
+
+    monkeypatch.setattr(tripotents_module, "_cluster", merged_first)
+    blocks = [q @ q.conj().T for q in central_blocks(z)]
+    assert len(calls) > 1  # the refinement split the merged block
+    assert len(blocks) == len(expect_blocks)
+    for p in expect_blocks:
+        assert sum(np.allclose(p, q) for q in blocks) == 1
+    calls.clear()
+    assert classify(z) == expect_report
 
 
 def test_classify_computes_the_blocks_once(monkeypatch):
