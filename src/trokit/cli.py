@@ -459,10 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "checkmap":
             return cmd_checkmap(doc, digest, tol, args.seed, args.max_level)
         raise AssertionError("unreachable")
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TroError, BlockCapError) as exc:
+    except (ParseError, TroError, BlockCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -149,49 +149,30 @@ def central_blocks(z: Tro) -> list[np.ndarray]:
     """Joint eigenblocks of the center: a list of matrices Q_b whose
     orthonormal columns span the common eigenspaces.  Every central
     element is scalar on each block.
+
+    One pass splits every block by the eigenclusters of ``Q* h Q`` for
+    each splitter h in turn: first a seeded generic combination of the
+    family, which separates most blocks by wide gaps, then each member.
+    One pass is enough.  The family commutes, so each member maps the
+    eigenspaces of the others into themselves.  After splitting by h,
+    every block lies in one eigencluster of h; later splits only refine
+    blocks, and h compressed to a sub-block keeps its eigenvalues inside
+    that cluster.  So every member ends up scalar on every block, and a
+    second pass would split nothing.
     """
-    t = z.tol
     d = z.ambient_dim
     fam = _selfadjoint_family(z.center)
-    if not fam:
-        return [np.eye(d, dtype=complex)]
-    hscales = [max(1.0, op_norm(h)) for h in fam]
-    thr = np.sqrt(t.eps)
-    rng = np.random.default_rng(_BLOCK_SEED)
-    weights = rng.standard_normal(len(fam))
-    generic = sum(w * h for w, h in zip(weights, fam))
-    evals, evecs = np.linalg.eigh(generic)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    blocks = [evecs[:, g] for g in _cluster(evals, thr * scale)]
-    # refine until every family member is scalar on every block
-    for _ in range(d + 1):
-        stable = True
-        refined: list[np.ndarray] = []
+    weights = np.random.default_rng(_BLOCK_SEED).standard_normal(len(fam))
+    generic = sum((w * h for w, h in zip(weights, fam)), np.zeros((d, d), dtype=complex))
+    thr = np.sqrt(z.tol.eps)
+    blocks = [np.eye(d, dtype=complex)]
+    for h in [generic] + fam:
+        split: list[np.ndarray] = []
         for q in blocks:
-            pieces = [q]
-            for h, hscale in zip(fam, hscales):
-                next_pieces = []
-                for piece in pieces:
-                    comp = piece.conj().T @ h @ piece
-                    k = comp.shape[0]
-                    mean = np.trace(comp) / k
-                    if hs_norm(comp - mean * np.eye(k)) <= t.eps * hscale * k:
-                        next_pieces.append(piece)
-                        continue
-                    sub_evals, sub_vecs = np.linalg.eigh(comp)
-                    sub_scale = max(1.0, float(np.max(np.abs(sub_evals))))
-                    groups = _cluster(sub_evals, thr * sub_scale)
-                    if len(groups) == 1:
-                        next_pieces.append(piece)
-                        continue
-                    stable = False
-                    for g in groups:
-                        next_pieces.append(piece @ sub_vecs[:, g])
-                pieces = next_pieces
-            refined.extend(pieces)
-        blocks = refined
-        if stable:
-            break
+            vals, vecs = np.linalg.eigh(q.conj().T @ h @ q)
+            groups = _cluster(vals, thr * max(1.0, float(np.max(np.abs(vals)))))
+            split.extend([q] if len(groups) == 1 else [q @ vecs[:, g] for g in groups])
+        blocks = split
     return blocks
 
 

@@ -347,16 +347,29 @@ GRID_COMMANDS = ([[cmd, str(h)] for h in GRID_INPUTS for cmd in ("classify", "co
                  + [["checkmap", str(p)] for p in sorted(FIXTURES.glob("*.map"))])
 
 
-@pytest.mark.parametrize("tol", ["1e-15", "1e-12", "1e-3", "0.05", "0.2", "0.5", "0.9"])
+@pytest.mark.parametrize("tol", ["1e-15", "1e-12", "1e-3", "0.05", "0.2", "0.3", "0.5", "0.9"])
 def test_no_exception_escapes_at_any_tolerance(capsys, tol):
     # every command on every fixture and golden input ends in an exit code;
-    # the refusals here are the tolerance floor and an uncertifiable center
+    # below the floor every pair is refused, from 1e-12 to 0.3 none is, and
+    # above that the only refusal is an uncertifiable center
     for argv in GRID_COMMANDS:
         code = main(["--tol", tol] + argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
-        if code == 2:
-            assert "eps must lie in" in err or "certified atoms at tol" in err, (argv, err)
+        if tol == "1e-15":
+            assert code == 2 and "eps must lie in" in err, (argv, err)
+        elif float(tol) <= 0.3:
+            assert code != 2, (argv, err)
+        elif code == 2:
+            assert "certified atoms at tol" in err, (argv, err)
+
+
+def test_loose_tolerance_splits_d3_into_three_atoms(capsys):
+    code, out = run(capsys, "--tol", "0.5", "classify", fixture("d3.tro"))
+    assert code == 0
+    assert report_value(out, "center-dim") == "3"
+    assert report_value(out, "natural-cone-count") == "27"
+    assert report_value(out, "maximal-cone-count") == "8"
 
 
 def test_module_entry_point_runs():

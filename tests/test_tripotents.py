@@ -460,6 +460,38 @@ def test_block_refinement_splits_a_merged_first_clustering(monkeypatch, host):
     assert classify(z) == expect_report
 
 
+def test_trivial_center_gives_one_identity_block():
+    blocks = central_blocks(corner_tro(3))
+    assert len(blocks) == 1
+    assert np.array_equal(blocks[0], np.eye(3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda ds: sum(ds) <= 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_pass_leaves_every_member_scalar_on_every_block(dims, seed):
+    # the blocks are exactly the summands' supports, and no member of the
+    # center family splits any of them further
+    d = sum(dims)
+    gens = block_host(*dims).space.basis()
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    ends = np.cumsum(dims)
+    supports = [u[:, e - k:e] @ u[:, e - k:e].conj().T for k, e in zip(dims, ends)]
+    for scale in (1.0, 1e-6, 1e6):
+        z = closure_from_generators([scale * u @ g @ u.conj().T for g in gens], dim=d, tol=1e-9)
+        blocks = central_blocks(z)
+        projectors = [q @ q.conj().T for q in blocks]
+        assert len(projectors) == len(supports)
+        for p in supports:
+            assert sum(np.allclose(p, q, atol=1e-8) for q in projectors) == 1
+        thr = np.sqrt(z.tol.eps)
+        for h in tripotents_module._selfadjoint_family(z.center):
+            for q in blocks:
+                vals = np.linalg.eigvalsh(q.conj().T @ h @ q)
+                assert vals[-1] - vals[0] <= thr * max(1.0, float(np.max(np.abs(vals))))
+
+
 def test_classify_computes_the_blocks_once(monkeypatch):
     calls = []
     blocks = tripotents_module.central_blocks
