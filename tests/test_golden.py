@@ -2,12 +2,14 @@
 ``commutative`` and ``checkmap``, compared byte for byte with committed
 expectations.
 
-The hosts are every ``.tro`` fixture plus the documents in
+The hosts are every ``.tro`` fixture plus the ``.tro`` documents in
 ``golden/inputs`` (D_4, D_5, the block host M_1+M_1+M_2+M_1+M_1 and a
 unitary conjugation of D_3).  ``meet`` runs on two index pairs per host,
 taken from the tripotent count in the expected ``cones`` report.
-``commutative`` runs on every ``.cfs`` fixture and ``checkmap`` on every
-``.map`` fixture.  ``classify``, ``cones``, ``commutative`` and
+``commutative`` runs on every ``.cfs`` fixture and on the ``.cfs``
+documents in ``golden/inputs`` (the discrete spaces on 6 and 8 points
+and a 6-point space whose maximality conditions split), and
+``checkmap`` on every ``.map`` fixture.  ``classify``, ``cones``, ``commutative`` and
 ``checkmap`` also run at each of ``TOLS``, the tolerance in the file name.
 
 The expected files record the reports of an earlier implementation;
@@ -27,7 +29,7 @@ import pytest
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
 HOSTS = sorted((HERE / "fixtures").glob("*.tro")) + sorted((GOLDEN / "inputs").glob("*.tro"))
-SPACES = sorted((HERE / "fixtures").glob("*.cfs"))
+SPACES = sorted((HERE / "fixtures").glob("*.cfs")) + sorted((GOLDEN / "inputs").glob("*.cfs"))
 MAPS = sorted((HERE / "fixtures").glob("*.map"))
 TOLS = ("1e-6", "1e-3")
 
