@@ -62,7 +62,9 @@ __all__ = ["main", "InputDocument", "ParseError", "parse_document", "format_matr
 # the closure holds chunks of up to dim^6 complex entries: closing M_12
 # took 9-10 s at 270 MB peak resident on one thread of a 2-core Xeon VM.
 # The discrete space on n points has 2^n opens: CLI commutative took
-# 6.9 s at 40 MB on 10 points and 73 s at 48 MB on 12, on the same VM
+# 0.13 s at 40 MB on 10 points and 0.5 s at 49 MB on 12, on the same VM.
+# Above 12 points its embedded classify would split into more blocks
+# than --max-blocks allows, so one cap serves all three document kinds
 MAX_DIM = 12
 
 

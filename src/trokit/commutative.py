@@ -20,7 +20,7 @@ integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
 import numpy as np
 
@@ -183,11 +183,29 @@ class SectionSpace:
         return np.asarray(coeffs, dtype=float) @ self.basis
 
     def is_section(self, f: np.ndarray, tol: Tolerance | float | None = None) -> bool:
-        t = Tolerance.of(tol)
         f = np.asarray(f, dtype=float)
-        tau = self.space.tau
-        return all(abs(f[tau[p]] + f[p]) <= t.cutoff(float(np.max(np.abs(f))) if f.size else 0.0)
-                   for p in range(self.space.n))
+        return self._is_odd(f, _cutoff(f, Tolerance.of(tol)))
+
+    @cached_property
+    def _tau(self) -> np.ndarray:
+        return np.asarray(self.space.tau, dtype=np.intp)
+
+    def _is_odd(self, f: np.ndarray, cut: float) -> bool:
+        """``|f(tau p) + f(p)| <= cut`` at every point."""
+        return bool((np.abs(f[self._tau] + f) <= cut).all())
+
+
+def _cutoff(f: np.ndarray, t: Tolerance) -> float:
+    """The cutoff relative to ``max|f|``, the one scale of a membership test."""
+    return t.cutoff(float(np.abs(f).max()) if f.size else 0.0)
+
+
+def _orbit_section(space: FiniteInvolutiveSpace, p: int) -> np.ndarray:
+    """``g_p = e_p - e_{tau p}``, the generator that point p gives a cone."""
+    g = np.zeros(space.n)
+    g[p] = 1.0
+    g[space.tau[p]] = -1.0
+    return g
 
 
 def build_sections(space: FiniteInvolutiveSpace) -> SectionSpace:
@@ -215,31 +233,26 @@ class SectionCone:
     open_set: frozenset[int]
 
     def generators(self) -> list[np.ndarray]:
-        sp = self.sections.space
-        gens = []
-        for p in sorted(self.open_set):
-            g = np.zeros(sp.n)
-            g[p] = 1.0
-            g[sp.tau[p]] = -1.0
-            gens.append(g)
-        return gens
+        return [_orbit_section(self.sections.space, p) for p in sorted(self.open_set)]
 
     def contains(self, f: np.ndarray, tol: Tolerance | float | None = None) -> bool:
-        t = Tolerance.of(tol)
+        """An odd f within the cutoff of ``max|f|``, vanishing off
+        ``U \\cup tau(U)`` and nonnegative on U within the same cutoff."""
         f = np.asarray(f, dtype=float)
-        if not self.sections.is_section(f, t):
+        cut = _cutoff(f, Tolerance.of(tol))
+        if not self.sections._is_odd(f, cut):
             return False
-        sp = self.sections.space
-        u_mask = _mask(self.open_set)
-        sym = u_mask | sp.tau_mask(u_mask)
-        scale = float(np.max(np.abs(f))) if f.size else 0.0
-        for p in range(sp.n):
-            if not (sym >> p & 1) and abs(f[p]) > t.cutoff(scale):
-                return False
-        for p in self.open_set:
-            if f[p] < -t.cutoff(scale):
-                return False
-        return True
+        u, off = self._support
+        return not ((np.abs(f[off]) > cut).any() or (f[u] < -cut).any())
+
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points of U, and the mask of the points off ``U \\cup tau(U)``."""
+        u = np.array(sorted(self.open_set), dtype=np.intp)
+        off = np.ones(self.sections.space.n, dtype=bool)
+        off[u] = False
+        off[self.sections._tau[u]] = False
+        return u, off
 
     def span_dim(self) -> int:
         return len(self.open_set)
@@ -322,18 +335,35 @@ def cone_inclusion_matches_set_inclusion(space: FiniteInvolutiveSpace,
                                          ) -> tuple[bool, tuple | None]:
     """Over all pairs of antisymmetric opens: U1 is a subset of U2 iff
     the cone of U1 is contained in the cone of U2 (checked on the
-    generators, which span the cones extremally)."""
+    generators, which span the cones extremally).
+
+    The cone of U is generated by ``g_p``, p in U, so it lies in the
+    cone of V exactly when U is inside ``{p : g_p in cone(V)}``.  That
+    table takes one :meth:`SectionCone.contains` per point and open
+    instead of one per generator and pair; both inclusions are then
+    compared for every pair at once.  Opens are numbered as
+    :func:`antisymmetric_open_sets` lists them; the witness is the first
+    disagreeing pair ``i < j`` in lexicographic order, as ``(U_i, U_j)``
+    when that direction disagrees and as ``(U_j, U_i)`` otherwise."""
     t = Tolerance.of(tol)
     sections = build_sections(space)
     sets = antisymmetric_open_sets(space)
     cones = [cone_of_open_set(sections, u) for u in sets]
-    for (u1, c1), (u2, c2) in combinations(list(zip(sets, cones)), 2):
-        for a, ca, b, cb in ((u1, c1, u2, c2), (u2, c2, u1, c1)):
-            set_incl = a <= b
-            cone_incl = all(cb.contains(g, t) for g in ca.generators())
-            if set_incl != cone_incl:
-                return False, (a, b)
-    return True, None
+    member = np.zeros((len(sets), space.n), dtype=bool)
+    for i, u in enumerate(sets):
+        member[i, sorted(u)] = True
+    inside = np.zeros_like(member)
+    for p in np.flatnonzero(member.any(axis=0)):
+        g = _orbit_section(space, int(p))
+        inside[:, p] = [c.contains(g, t) for c in cones]
+    set_incl = ~(member @ ~member.T)
+    cone_incl = ~(member @ ~inside.T)
+    wrong = set_incl != cone_incl
+    pairs = np.argwhere(np.triu(wrong | wrong.T, 1))
+    if not len(pairs):
+        return True, None
+    i, j = pairs[0]
+    return False, (sets[i], sets[j]) if wrong[i, j] else (sets[j], sets[i])
 
 
 def vanishing_ideal(sections: SectionSpace,

@@ -228,6 +228,17 @@ def test_commutative_discrete(capsys):
     assert report_value(out, "result") == "pass"
 
 
+def test_commutative_discrete_ten_points(capsys, tmp_path):
+    path = tmp_path / "disc10.cfs"
+    tau = " ".join(str(p ^ 1) for p in range(10))
+    path.write_text(f"kind: commutative\npoints: 10\ntau: {tau}\ntopology: discrete\n")
+    code, out = run(capsys, "commutative", str(path))
+    assert code == 0
+    assert report_value(out, "antisymmetric-count") == "243"
+    assert report_value(out, "maximal-count") == "32"
+    assert "check inclusion-equivalence pass" in out
+
+
 def test_commutative_respects_max_blocks(capsys):
     # the embedded classify splits disc4 into 4 joint blocks
     code = main(["--max-blocks", "3", "commutative", fixture("disc4.cfs")])

@@ -6,13 +6,17 @@ commutative theory a genuine oracle for the matrix-side classification
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trokit import (
     FiniteInvolutiveSpace,
+    SectionCone,
+    Tolerance,
     antisymmetric_open_sets,
     build_sections,
     classify,
@@ -250,6 +254,149 @@ def test_cone_inclusion_matches_set_inclusion():
     for sp in enumerate_spaces(4):
         ok, witness = cone_inclusion_matches_set_inclusion(sp)
         assert ok, witness
+
+
+def _is_section_loop(sections, f, t):
+    """Oracle: the per-point oddness rule, ``max|f|`` taken at every point."""
+    f = np.asarray(f, dtype=float)
+    tau = sections.space.tau
+    return all(abs(f[tau[p]] + f[p]) <= t.cutoff(float(np.max(np.abs(f))) if f.size else 0.0)
+               for p in range(sections.space.n))
+
+
+def _contains_loop(cone, f, t):
+    """Oracle: cone membership point by point."""
+    f = np.asarray(f, dtype=float)
+    if not _is_section_loop(cone.sections, f, t):
+        return False
+    sp = cone.sections.space
+    sym = set(cone.open_set) | {sp.tau[p] for p in cone.open_set}
+    scale = float(np.max(np.abs(f))) if f.size else 0.0
+    for p in range(sp.n):
+        if p not in sym and abs(f[p]) > t.cutoff(scale):
+            return False
+    for p in cone.open_set:
+        if f[p] < -t.cutoff(scale):
+            return False
+    return True
+
+
+@st.composite
+def _cones_and_vectors(draw):
+    """(cone, f, tol) on a discrete space of 1-6 points whose involution
+    may fix points but moves at least two.  f is either an arbitrary
+    vector or a scaled member ``sum a_p g_p`` of the cone, ``a_p`` in
+    {0, 1/2, 1}, whose value at one point q is moved by, or set to, a
+    multiple of its cutoff, and at tau q then set to its negative or
+    left; a value of +-cutoff lands on the oddness, support or sign
+    cutoff itself."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    tau = list(range(n))
+    for i in range(draw(st.integers(min(1, n // 2), n // 2))):
+        a, b = order[2 * i], order[2 * i + 1]
+        tau[a], tau[b] = b, a
+    sections = build_sections(FiniteInvolutiveSpace.build(n, tau, discrete=True))
+    u = draw(st.sampled_from(antisymmetric_open_sets(sections.space)))
+    cone = cone_of_open_set(sections, u)
+    t = Tolerance(draw(st.sampled_from([1e-9, 1e-3, 0.3])))
+    if draw(st.booleans()):
+        return cone, np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))), t
+    f = np.zeros(n)
+    for g in cone.generators():
+        f += draw(st.sampled_from([0.0, 0.5, 1.0])) * g
+    f *= draw(st.sampled_from([1.0, 1e-6, 1e6]))
+    q = draw(st.sampled_from(sorted(u) + list(range(n))))
+    move = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0])) * t.cutoff(float(np.max(np.abs(f))))
+    f[q] = move if draw(st.booleans()) else f[q] + move
+    if tau[q] != q and draw(st.booleans()):
+        f[tau[q]] = -f[q]
+    return cone, f, t
+
+
+def _on_the_cutoff(u, f):
+    """A two-point case whose value sits exactly on a cutoff at tol 1e-9."""
+    cone = cone_of_open_set(build_sections(two_point_swap()), frozenset(u))
+    return cone, np.array(f) * 1e-9, Tolerance(1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cones_and_vectors())
+@example(_on_the_cutoff({0}, [-1.0, 1.0]))  # sign on U
+@example(_on_the_cutoff((), [1.0, -1.0]))  # support off U and tau(U)
+@example(_on_the_cutoff({0}, [1.0, 0.0]))  # oddness
+def test_membership_matches_per_point_loops(case):
+    cone, f, t = case
+    assert cone.sections.is_section(f, t) == _is_section_loop(cone.sections, f, t)
+    assert cone.contains(f, t) == _contains_loop(cone, f, t)
+
+
+def _pairwise_inclusion(space, tol=None):
+    """Oracle: every ordered pair of antisymmetric opens, one generator
+    at a time, in ``combinations`` order."""
+    t = Tolerance.of(tol)
+    sections = build_sections(space)
+    sets = antisymmetric_open_sets(space)
+    cones = [cone_of_open_set(sections, u) for u in sets]
+    for (u1, c1), (u2, c2) in combinations(list(zip(sets, cones)), 2):
+        for a, ca, b, cb in ((u1, c1, u2, c2), (u2, c2, u1, c1)):
+            set_incl = a <= b
+            cone_incl = all(cb.contains(g, t) for g in ca.generators())
+            if set_incl != cone_incl:
+                return False, (a, b)
+    return True, None
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_inclusion_table_matches_pairwise_oracle(tol):
+    for sp in enumerate_spaces(4) + enumerate_spaces(6)[::10]:
+        assert cone_inclusion_matches_set_inclusion(sp, tol) == _pairwise_inclusion(sp, tol)
+
+
+def _planted(monkeypatch, point, open_set=None, accept=False):
+    """Make ``SectionCone.contains`` refuse the generator of ``point``
+    (in every cone, or only in the cone of ``open_set``), or accept it."""
+    original = SectionCone.contains
+
+    def contains(self, f, tol=None):
+        sp = self.sections.space
+        is_gen = f[point] == 1.0 and f[sp.tau[point]] == -1.0 and np.count_nonzero(f) == 2
+        if is_gen and (open_set is None or self.open_set == open_set):
+            return accept
+        return original(self, f, tol)
+
+    monkeypatch.setattr(SectionCone, "contains", contains)
+
+
+@pytest.mark.parametrize("point,open_set,accept,witness", [
+    (0, None, False, ({0}, {0, 2})),
+    (2, frozenset({0, 2}), False, ({2}, {0, 2})),
+    (1, frozenset({0}), True, ({1}, {0})),
+])
+def test_planted_fault_gives_the_oracle_witness(monkeypatch, point, open_set, accept, witness):
+    _planted(monkeypatch, point, open_set, accept)
+    got = cone_inclusion_matches_set_inclusion(four_point_discrete())
+    assert got == _pairwise_inclusion(four_point_discrete())
+    assert got == (False, tuple(frozenset(u) for u in witness))
+
+
+def test_refusing_any_generator_gives_the_oracle_witness(monkeypatch):
+    for sp in enumerate_spaces(4):
+        for point in range(sp.n):
+            with monkeypatch.context() as m:
+                _planted(m, point)
+                assert cone_inclusion_matches_set_inclusion(sp) == _pairwise_inclusion(sp)
+
+
+def test_inclusion_asks_each_cone_once_per_point(monkeypatch):
+    calls = []
+    original = SectionCone.contains
+    monkeypatch.setattr(SectionCone, "contains",
+                        lambda self, f, tol=None: calls.append(1) or original(self, f, tol))
+    sp = FiniteInvolutiveSpace.build(8, tuple(p ^ 1 for p in range(8)), discrete=True)
+    assert cone_inclusion_matches_set_inclusion(sp) == (True, None)
+    # n * N = 8 * 81; generator by generator over every ordered pair it was 8688
+    assert len(calls) <= 8 * 81
 
 
 def test_vanishing_ideal_examples():
