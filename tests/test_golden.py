@@ -9,8 +9,10 @@ taken from the tripotent count in the expected ``cones`` report.
 ``commutative`` runs on every ``.cfs`` fixture and on the ``.cfs``
 documents in ``golden/inputs`` (the discrete spaces on 6 and 8 points
 and a 6-point space whose maximality conditions split), and
-``checkmap`` on every ``.map`` fixture.  ``classify``, ``cones``, ``commutative`` and
-``checkmap`` also run at each of ``TOLS``, the tolerance in the file name.
+``checkmap`` on every ``.map`` fixture.  ``classify``, ``cones``, ``meet``,
+``commutative`` and ``checkmap`` also run at each of ``TOLS``, the
+tolerance in the file name; ``meet`` keeps the index pairs of the
+default tolerance.
 
 The expected files record the reports of an earlier implementation;
 rewrite them with ``python tests/test_golden.py`` only for a report
@@ -40,7 +42,7 @@ def meet_pairs(count: int) -> list[tuple[int, int]]:
 
 def cases() -> list[tuple[str, list[str]]]:
     """(expected file name, CLI arguments) for every golden report."""
-    out = []
+    out, meets = [], []
     for host in HOSTS:
         out.append((f"{host.stem}.classify.out", ["classify", str(host)]))
         out.append((f"{host.stem}.cones.out", ["cones", str(host)]))
@@ -49,8 +51,9 @@ def cases() -> list[tuple[str, list[str]]]:
             count = int(next(line.split()[1] for line in cones.read_text().splitlines()
                              if line.startswith("count ")))
             for u, v in meet_pairs(count):
-                out.append((f"{host.stem}.meet-{u}-{v}.out",
-                            ["meet", str(host), "--u", str(u), "--v", str(v)]))
+                meets.append((f"{host.stem}.meet-{u}-{v}",
+                              ["meet", str(host), "--u", str(u), "--v", str(v)]))
+                out.append((f"{meets[-1][0]}.out", meets[-1][1]))
     for space in SPACES:
         out.append((f"{space.stem}.commutative.out", ["commutative", str(space)]))
     for doc in MAPS:
@@ -60,6 +63,8 @@ def cases() -> list[tuple[str, list[str]]]:
         runs += [(doc, "commutative") for doc in SPACES] + [(doc, "checkmap") for doc in MAPS]
         for doc, cmd in runs:
             out.append((f"{doc.stem}.{cmd}.tol-{tol}.out", ["--tol", tol, cmd, str(doc)]))
+        for name, argv in meets:
+            out.append((f"{name}.tol-{tol}.out", ["--tol", tol] + argv))
     return out
 
 
