@@ -54,7 +54,7 @@ from .morphisms import (
     is_ternary_star_morphism,
 )
 from .ordering import classify
-from .tripotents import BlockCapError, enumerate_central_tripotents, leq, meet
+from .tripotents import BlockCapError, enumerate_central_tripotents, leq, leq_table, meet
 from .tro import Tro, TroError, closure_from_generators
 
 __all__ = ["main", "InputDocument", "ParseError", "parse_document", "format_matrix"]
@@ -316,9 +316,8 @@ def cmd_meet(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     rep.check("meet-is-central-tripotent", w.is_central)
     rep.check("meet-leq-u", leq(w, u, tol))
     rep.check("meet-leq-v", leq(w, v, tol))
-    greatest = all(leq(c, w, tol) for c in trips
-                   if leq(c, u, tol) and leq(c, v, tol))
-    rep.check("meet-is-greatest-lower-bound", greatest)
+    below_u, below_v, below_w = leq_table(trips, (u, v, w), tol)
+    rep.check("meet-is-greatest-lower-bound", bool(np.all(below_w | ~(below_u & below_v))))
     return rep.emit()
 
 

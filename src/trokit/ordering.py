@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _STACK_CHUNK,
     Subspace,
     adjoint,
     as_matrix,
@@ -25,7 +26,7 @@ from .linalg import (
     is_psd,
     orthonormalize,
 )
-from .tro import Tro
+from .tro import Tro, _row_norms
 from .tripotents import (
     Tripotent,
     _is_sign_cube,
@@ -51,17 +52,69 @@ __all__ = [
 MAX_MATRIX_LEVEL = 4
 
 
+def _cone_pass(xs: np.ndarray, ws: np.ndarray, z: Tro) -> list[bool]:
+    """Membership of each matrix of ``xs`` in the natural cone of the
+    matrix of ``ws`` in the same place; ``xs`` and ``ws`` are single
+    matrices or (p, d, d) stacks of the same shape.  Returns a list of p
+    verdicts (one for single matrices).
+
+    The criteria and cutoffs are :func:`cone_membership`'s: the residual
+    against Z at :meth:`Subspace.contains`'s cutoff, ``|w x w - x|`` at
+    ``eps * max(1, |x|)``, and :func:`is_psd` of ``w x``, its Hermitian
+    test and then its eigenvalue test.  One pass gives the products and
+    norms of all pairs and one ``eigvalsh`` covers the pairs that pass
+    the other tests; each cutoff is ``eps * max(1, scale)``, the rule of
+    ``Tolerance.cutoff``, for a norm from that pass as the scale.
+    """
+    d = xs.shape[-1]
+    k = d * d
+    p = 1 if xs.ndim == 2 else len(xs)
+    a = ws @ xs
+    adj = a.conj().swapaxes(-1, -2)
+    flat = xs.reshape(p, k)
+    norms = _row_norms(np.concatenate([
+        flat, z.space.residual_rows(flat), (a @ ws - xs).reshape(p, k), a.reshape(p, k),
+        (a - adj).reshape(p, k)])).tolist()
+    eps = z.tol.eps
+    # per pair: |x|, residual, |w x w - x|, |w x| and |w x - (w x)*|
+    rows = zip(*(norms[j * p:(j + 1) * p] for j in range(5)))
+    live = [i for i, (sx, r, dv, sa, sk) in enumerate(rows)
+            if r <= eps * max(1.0, sx) and not dv > eps * max(1.0, sx)
+            and sk <= eps * max(1.0, sa)]
+    ok = [False] * p
+    if live:
+        h = a + adj if len(live) == p else (a + adj)[live]
+        evals = np.linalg.eigvalsh(h / 2.0).reshape(len(live), d)
+        # each row is sorted, so max |evals| is the larger of -first and
+        # last; a 0 x 0 matrix has none and is positive semidefinite
+        for i, ev in zip(live, evals.tolist()):
+            ok[i] = not ev or ev[0] >= -eps * max(1.0, -ev[0], ev[-1])
+    return ok
+
+
+def _cone_table(xs: np.ndarray, ws: np.ndarray, z: Tro) -> np.ndarray:
+    """Cone membership of each matrix of an (n, d, d) stack ``xs`` in the
+    natural cone of each tripotent of an (m, d, d) stack ``ws``, as an
+    (m, n) boolean table: :func:`_cone_pass` on the pairs, a chunk of at
+    most ``_STACK_CHUNK`` entries a product at a time."""
+    xs = np.asarray(xs, dtype=complex)
+    ws = np.asarray(ws, dtype=complex)
+    m, n, d = len(ws), len(xs), xs.shape[-1]
+    ok = np.zeros((m, n), dtype=bool)
+    step = max(1, _STACK_CHUNK // max(1, m * d * d))
+    for start in range(0, n, step):
+        part = xs[start:start + step]
+        c = len(part)
+        pairs = np.broadcast_to(part, (m, c, d, d)).reshape(m * c, d, d)
+        ok[:, start:start + c] = np.reshape(_cone_pass(pairs, np.repeat(ws, c, axis=0), z), (m, c))
+    return ok
+
+
 def cone_membership(x: np.ndarray, u: np.ndarray | Tripotent, z: Tro) -> bool:
     """x lies in the natural cone of u iff x is in Z, u x u = x, and u x
     is positive semidefinite."""
-    t = z.tol
-    a = as_matrix(x)
     w = u.u if isinstance(u, Tripotent) else as_matrix(u)
-    if not z.space.contains(a, t):
-        return False
-    if hs_norm(w @ a @ w - a) > t.cutoff(hs_norm(a)):
-        return False
-    return is_psd(w @ a, t)
+    return _cone_pass(as_matrix(x), w, z)[0]
 
 
 def matrix_cone_membership(blocks: list[list[np.ndarray]], u: np.ndarray | Tripotent,
@@ -76,11 +129,11 @@ def matrix_cone_membership(blocks: list[list[np.ndarray]], u: np.ndarray | Tripo
     if n > MAX_MATRIX_LEVEL:
         raise ValueError(f"matrix level {n} exceeds the cap {MAX_MATRIX_LEVEL}")
     w = u.u if isinstance(u, Tripotent) else as_matrix(u)
-    d = z.ambient_dim
-    for row in blocks:
-        for b in row:
-            if not z.space.contains(as_matrix(b), t):
-                return False
+    flat = np.stack([as_matrix(b) for row in blocks for b in row])
+    flat = flat.reshape(n * n, z.ambient_dim ** 2)
+    norms, res = _row_norms(np.concatenate([flat, z.space.residual_rows(flat)])).reshape(2, -1)
+    if not np.all(res <= t.eps * np.fmax(1.0, norms)):
+        return False
     big = np.block([[as_matrix(b) for b in row] for row in blocks])
     amp = np.kron(np.eye(n), w)
     if hs_norm(amp @ big @ amp - big) > t.cutoff(hs_norm(big)):
@@ -188,22 +241,23 @@ class NaturalCone:
         return cone_membership(x, self.tripotent, self.host)
 
     def sample(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
-        """Random cone elements e u e* with e drawn from the host space."""
-        u = self.tripotent.u
-        out = []
-        for _ in range(count):
-            e = self.host.space.random_element(rng)
-            out.append(e @ u @ adjoint(e))
-        return out
+        """Random cone elements e u e* with e drawn from the host space.
+
+        The coefficients of e are drawn as :meth:`Subspace.random_element`
+        draws them, real parts and then imaginary parts, sample by sample,
+        so the stream is the same; a zero space draws nothing."""
+        space, d = self.host.space, self.host.ambient_dim
+        c = rng.standard_normal((count, 2, space.dim))
+        e = ((c[:, 0] + 1j * c[:, 1]) @ space.vecs).reshape(count, d, d)
+        return list(e @ self.tripotent.u @ adjoint(e))
 
     def diagonal_rays(self) -> list[np.ndarray]:
         """Extreme rays when the host consists of diagonal matrices only:
         one ray u_ii E_ii per nonvanishing diagonal entry of u."""
         t = self.host.tol
         d = self.host.ambient_dim
-        offdiag = [abs(b[i, j]) for b in self.host.space.onb
-                   for i in range(d) for j in range(d) if i != j]
-        if offdiag and max(offdiag) > t.cutoff(1.0):
+        offdiag = np.abs(self.host.space.onb[:, ~np.eye(d, dtype=bool)])
+        if offdiag.max(initial=0.0) > t.cutoff(1.0):
             raise ValueError("diagonal rays require a diagonal host")
         u = self.tripotent.u
         rays = []
@@ -226,22 +280,32 @@ def cone_intersection_is_meet(u: Tripotent, v: Tripotent, z: Tro,
     Sampled evidence: elements of the meet cone must land in both cones,
     and sampled elements lying in both cones must land in the meet cone.
     On diagonal hosts the extreme rays are enumerated exhaustively, which
-    settles the equality exactly.  Returns (verdict, witness).
+    settles the equality exactly.  Returns (verdict, witness); the
+    witness is the first matrix, in sampling order, that fails.
+
+    Each of the three checks (meet samples against both cones, common
+    samples and their pair sums against the meet cone, the rays of u
+    against all three cones) is one call of the stacked membership
+    check; no matrix is checked on its own.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
+    d = z.ambient_dim
     w = meet(u, v, host=z)
     cu, cv, cw = NaturalCone(z, u), NaturalCone(z, v), NaturalCone(z, w)
+    uv = np.stack([u.u, v.u])
 
-    for x in cw.sample(rng, samples):
-        if not (cu.contains(x) and cv.contains(x)):
-            return False, x
-    both = [x for x in cu.sample(rng, samples) + cv.sample(rng, samples)
-            if cu.contains(x) and cv.contains(x)]
+    xs = np.reshape(cw.sample(rng, samples), (samples, d, d))
+    bad = np.flatnonzero(~_cone_table(xs, uv, z).all(axis=0))
+    if bad.size:
+        return False, xs[bad[0]]
+    xs = np.reshape(cu.sample(rng, samples) + cv.sample(rng, samples), (2 * samples, d, d))
+    both = xs[_cone_table(xs, uv, z).all(axis=0)]
     # sums of common elements stay in the intersection
-    both.extend(a + b for a, b in zip(both[::2], both[1::2]))
-    for x in both:
-        if not cw.contains(x):
-            return False, x
+    pairs = len(both) // 2 * 2
+    both = np.concatenate([both, both[0:pairs:2] + both[1:pairs:2]])
+    bad = np.flatnonzero(~_cone_table(both, w.u[None], z)[0])
+    if bad.size:
+        return False, both[bad[0]]
 
     try:
         rays_u = cu.diagonal_rays()
@@ -256,11 +320,11 @@ def cone_intersection_is_meet(u: Tripotent, v: Tripotent, z: Tro,
     common = keyset(rays_u) & keyset(rays_v)
     if common != keyset(rays_w):
         diff = common.symmetric_difference(keyset(rays_w))
-        d = z.ambient_dim
         witness = np.array(list(diff)[0][: d * d]).reshape(d, d).astype(complex)
         return False, witness
-    for r in rays_u:
-        inter = cu.contains(r) and cv.contains(r)
-        if inter != cw.contains(r):
-            return False, r
+    rays = np.reshape(rays_u, (len(rays_u), d, d))
+    in_u, in_v, in_w = _cone_table(rays, np.stack([u.u, v.u, w.u]), z)
+    bad = np.flatnonzero((in_u & in_v) != in_w)
+    if bad.size:
+        return False, rays[bad[0]]
     return True, None

@@ -25,17 +25,28 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import Subspace, Tolerance, adjoint, as_matrix, hs_norm, is_hermitian, op_norm
-from .tro import Tro, TroError
+from .linalg import (
+    _STACK_CHUNK,
+    Subspace,
+    Tolerance,
+    adjoint,
+    as_matrix,
+    hs_norm,
+    is_hermitian,
+    op_norm,
+)
+from .tro import Tro, TroError, _row_norms
 
 __all__ = [
     "Tripotent",
     "BlockCapError",
     "is_selfadjoint_tripotent",
     "leq",
+    "leq_table",
     "meet",
     "central_blocks",
     "CenterAtoms",
@@ -108,6 +119,30 @@ def leq(u: np.ndarray | Tripotent, v: np.ndarray | Tripotent,
     b = v.u if isinstance(v, Tripotent) else as_matrix(v)
     scale = max(1.0, op_norm(a)) ** 2 * max(1.0, op_norm(b))
     return hs_norm(a @ b @ a - a) <= t.eps * scale
+
+
+def leq_table(us: Sequence[np.ndarray | Tripotent], vs: Sequence[np.ndarray | Tripotent],
+              tol: Tolerance | float | None = None) -> np.ndarray:
+    """:func:`leq` for every pair, as a (len(vs), len(us)) boolean table
+    whose entry (j, i) is ``leq(us[i], vs[j])``, with leq's bound on each
+    pair.  The products ``u v u`` are stacked, and one ``eigvalsh`` gives
+    the operator norms of a chunk of ``us`` (at most ``_STACK_CHUNK``
+    entries a product) together with those of ``vs``; ``vs`` is not
+    empty and its matrices are at least 1 x 1."""
+    t = Tolerance.of(tol)
+    b = np.stack([v.u if isinstance(v, Tripotent) else as_matrix(v) for v in vs])
+    out = np.empty((len(b), len(us)), dtype=bool)
+    step = max(1, _STACK_CHUNK // (len(b) * b.shape[-1] ** 2))
+    for i in range(0, len(us), step):
+        a = np.stack([u.u if isinstance(u, Tripotent) else as_matrix(u)
+                      for u in us[i:i + step]])
+        n, k = len(a), a.shape[-1] ** 2
+        ab = np.concatenate([a, b])
+        top = np.linalg.eigvalsh(adjoint(ab) @ ab)[:, -1]
+        norms = np.fmax(1.0, np.sqrt(np.maximum(top, 0.0)))
+        dev = _row_norms((a @ b[:, None] @ a - a).reshape(len(b) * n, k)).reshape(len(b), n)
+        out[:, i:i + n] = dev <= t.eps * (norms[:n] ** 2 * norms[n:, None])
+    return out
 
 
 def meet(u: Tripotent, v: Tripotent, host: Tro) -> Tripotent:
