@@ -209,9 +209,10 @@ def format_matrix(m: np.ndarray, tol: Tolerance | float | None = None) -> list[s
     prints as 0."""
     m = as_matrix(m)
     cut = Tolerance.of(tol).cutoff(float(np.abs(m).max(initial=0.0)))
-    re = np.where(np.abs(m.real) <= cut, 0.0, m.real)
-    im = np.where(np.abs(m.imag) <= cut, 0.0, m.imag)
-    return [" ".join(f"[{_fmt(a)},{_fmt(b)}]" for a, b in zip(ra, ia))
+    # Python floats format faster than numpy scalars; + 0.0 as in _fmt
+    re = (np.where(np.abs(m.real) <= cut, 0.0, m.real) + 0.0).tolist()
+    im = (np.where(np.abs(m.imag) <= cut, 0.0, m.imag) + 0.0).tolist()
+    return [" ".join(f"[{a:.12g},{b:.12g}]" for a, b in zip(ra, ia))
             for ra, ia in zip(re, im)]
 
 

@@ -203,16 +203,22 @@ def classify(z: Tro, max_blocks: int = 12) -> ClassificationReport:
     """Full ordering classification of a *-TRO.
 
     The center's atoms are computed once; the tripotents are their sign
-    vectors and the maximal ones those with full support.  Every maximal
-    tripotent has the support projection ``sum a_i^2``, so one
-    decomposition, at the first of them, covers all; a trivial center
+    vectors, in enumeration order, and the maximal ones those with full
+    support.  Every maximal tripotent has the support projection
+    ``sum a_i^2``, so one decomposition, at the first of them, covers
+    all, and its matrix is the only one built; a trivial center
     decomposes at its zero tripotent into ``({0}, Z)``.  Both lattice
     verdicts follow from the atom certificate and the sign cube."""
     atoms = center_atoms(z, max_blocks)
-    tripotents = central_tripotents(z, atoms)
-    maximal_indices = tuple(i for i, tp in enumerate(tripotents) if tp.has_full_support)
-    part, comp = decompose(z, tripotents[maximal_indices[0] if maximal_indices else 0])
-    lattice = atoms.certified and _is_sign_cube([tp.signs for tp in tripotents])
+    if atoms.count:
+        signs = atoms.sorted_signs()
+        maximal_indices = tuple(np.flatnonzero(signs.all(axis=1)).tolist())
+        at = Tripotent(atoms.matrix(signs[maximal_indices[0]]), True)
+    else:
+        [at] = central_tripotents(z, atoms)
+        signs, maximal_indices = [at.signs], ()
+    part, comp = decompose(z, at)
+    lattice = atoms.certified and _is_sign_cube(signs)
     return ClassificationReport(
         ambient_dim=z.ambient_dim,
         space_dim=z.dim,
@@ -220,7 +226,7 @@ def classify(z: Tro, max_blocks: int = 12) -> ClassificationReport:
         algebra_part_dim=z.alg_part.dim,
         center_dim=z.center.dim,
         block_count=len(atoms.projectors),
-        natural_cone_count=len(tripotents),
+        natural_cone_count=len(signs),
         maximal_cone_count=len(maximal_indices),
         unorderable=is_unorderable(z),
         maximal_indices=maximal_indices,

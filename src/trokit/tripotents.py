@@ -19,11 +19,16 @@ whose atoms fail it is refused with a :class:`TroError`.  The cube is
 closed under negation and meet, so certified atoms plus one check that
 the listed vectors fill the cube decide both lattice properties.  The
 joint block count is capped to keep enumeration at desk scale.
+
+The sign vectors are ordered by the rounded entries of their matrices
+without building those matrices: one stable ``lexsort`` over the entry
+columns where some block projector is nonzero, each computed as the
+matrix sum computes it.  Only the sorted vectors are then built, as one
+stacked sum.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -204,6 +209,9 @@ def central_blocks(z: Tro) -> list[np.ndarray]:
     for h in [generic] + fam:
         split: list[np.ndarray] = []
         for q in blocks:
+            if q.shape[1] == 1:  # one eigenvalue, one cluster
+                split.append(q)
+                continue
             vals, vecs = np.linalg.eigh(q.conj().T @ h @ q)
             groups = _cluster(vals, thr * max(1.0, float(np.max(np.abs(vals)))))
             split.extend([q] if len(groups) == 1 else [q @ vecs[:, g] for g in groups])
@@ -232,13 +240,54 @@ class CenterAtoms:
     def count(self) -> int:
         return int(self.layout.shape[1])
 
+    def stack(self, signs: np.ndarray) -> np.ndarray:
+        """The block-order sums ``sum_b alpha_b P_b`` for the rows of an
+        (n, count) sign matrix, as an (n, d, d) stack.  Each sum starts
+        from zero and adds the blocks in order; ``alpha`` lies in
+        {-1, 0, 1}, so every product is exact and each row comes out
+        bitwise the same, zero signs included, whatever the other rows."""
+        alpha = np.reshape(signs, (-1, self.count)) @ self.layout.T + 0.0
+        d = self.projectors[0].shape[0]
+        out = np.zeros((len(alpha), d, d), dtype=complex)
+        for a, p in zip(alpha.T, self.projectors):
+            out += a[:, None, None] * p
+        return out
+
     def matrix(self, eps: tuple[int, ...] | np.ndarray) -> np.ndarray:
         """The block-order sum ``sum_b alpha_b P_b`` for a sign vector."""
-        alpha = self.layout @ np.asarray(eps, dtype=float) + 0.0
-        return sum(a * p for a, p in zip(alpha, self.projectors))
+        return self.stack(np.asarray(eps, dtype=float))[0]
 
     def atoms(self) -> list[np.ndarray]:
-        return [self.matrix(e) for e in np.eye(self.count, dtype=int)]
+        return list(self.stack(np.eye(self.count, dtype=int))) if self.count else []
+
+    def sorted_signs(self, maximal: bool = False) -> np.ndarray:
+        """The sign vectors over at least one atom, one row each and only
+        the full-support ones when ``maximal``, in the order of
+        :func:`_sort_key` of their matrices; ties keep the order of
+        ``itertools.product``.
+
+        That key is the real parts and then the imaginary parts of the
+        entries, rounded.  A column in which every projector is zero is
+        zero for every vector and cannot change the order, so only the
+        others are keyed.  Each is summed over the blocks in the order of
+        :meth:`stack`, so its values are those of the matrix entries up
+        to the sign of zero, which the rounding erases.  One stable
+        ``lexsort`` over the columns, last key first, is then the stable
+        sort by the key tuples."""
+        vals = np.array((-1, 1) if maximal else (-1, 0, 1), dtype=np.int8)
+        k, c = len(vals), self.count
+        index = np.arange(k ** c)
+        codes = np.empty((len(index), c), dtype=np.int8)
+        for i in range(c):  # the last position varies fastest
+            codes[:, i] = vals[index // k ** (c - 1 - i) % k]
+        alpha = codes @ self.layout.T + 0.0
+        flat = np.reshape(self.projectors, (len(self.projectors), -1))
+        parts = np.concatenate([flat.real, flat.imag], axis=1)
+        live = parts[:, parts.any(axis=0)]
+        keys = np.zeros((len(codes), live.shape[1]))
+        for a, row in zip(alpha.T, live):
+            keys += a[:, None] * row
+        return codes[np.lexsort(_round_key(keys).T[::-1])]
 
 
 def atoms_certificate(atoms: list[np.ndarray], z: Tro) -> bool:
@@ -329,10 +378,9 @@ def central_tripotents(z: Tro, atoms: CenterAtoms,
     if atoms.count == 0:
         zero = Tripotent(np.zeros((z.ambient_dim,) * 2, dtype=complex), True, ())
         return [] if maximal else [zero]
-    codes = itertools.product((-1, 1) if maximal else (-1, 0, 1), repeat=atoms.count)
-    found = [Tripotent(atoms.matrix(eps), True, eps) for eps in codes]
-    found.sort(key=lambda tp: _sort_key(tp.u))
-    return found
+    signs = atoms.sorted_signs(maximal)
+    # one stack; each tripotent holds a view into it
+    return [Tripotent(u, True, tuple(eps)) for u, eps in zip(atoms.stack(signs), signs.tolist())]
 
 
 def enumerate_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:
@@ -346,7 +394,7 @@ def enumerate_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent
     return central_tripotents(z, _certified_atoms(z, max_blocks))
 
 
-def _is_sign_cube(signs: list[tuple[int, ...]]) -> bool:
+def _is_sign_cube(signs: Sequence[tuple[int, ...]] | np.ndarray) -> bool:
     """True iff the sign vectors, with entries in ``{-1, 0, 1}``, are
     exactly ``{-1, 0, 1}^c``, each once: one ``bincount`` of their
     base-3 codes.
@@ -363,11 +411,17 @@ def _is_sign_cube(signs: list[tuple[int, ...]]) -> bool:
     return bool((counts == 1).all())
 
 
+def _round_key(x: np.ndarray) -> np.ndarray:
+    """Entries rounded to 9 decimals, negative zero made positive: the
+    one rounding under which matrices are ordered and compared."""
+    return np.round(x, 9) + 0.0
+
+
 def _sort_key(u: np.ndarray) -> tuple:
+    """The real parts and then the imaginary parts of the entries of u,
+    rounded by :func:`_round_key`."""
     flat = u.ravel()
-    re = np.round(flat.real, 9) + 0.0
-    im = np.round(flat.imag, 9) + 0.0
-    return tuple(np.concatenate([re, im]).tolist())
+    return tuple(_round_key(np.concatenate([flat.real, flat.imag])).tolist())
 
 
 def maximal_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:

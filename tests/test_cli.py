@@ -116,6 +116,33 @@ def test_format_matrix_normalizes_negative_zero():
     assert format_matrix(noisy, Tolerance(1e-9)) == ["[1,0] [0,1e-06]", "[0,0] [0.5,0]"]
 
 
+def _format_loop(m: np.ndarray, tol: Tolerance) -> list[str]:
+    """The entry-by-entry formatter that ``format_matrix`` replaced."""
+    def fmt(x) -> str:
+        return format(0.0 if x == 0.0 else x, ".12g")
+
+    cut = tol.cutoff(float(np.abs(m).max(initial=0.0)))
+    re = np.where(np.abs(m.real) <= cut, 0.0, m.real)
+    im = np.where(np.abs(m.imag) <= cut, 0.0, m.imag)
+    return [" ".join(f"[{fmt(a)},{fmt(b)}]" for a, b in zip(ra, ia)) for ra, ia in zip(re, im)]
+
+
+def test_format_matrix_at_negative_zero_and_the_cutoff():
+    tol = Tolerance(1e-6)
+    cut = tol.cutoff(2.0)
+    above = float(np.nextafter(cut, 1.0))
+    # the largest modulus is 2, so parts at cut print 0 and parts above it do not
+    m = np.array([[complex(-0.0, -0.0), complex(-cut, cut)],
+                  [complex(above, -above), complex(-2.0, -0.0)]])
+    assert format_matrix(m, tol) == ["[0,0] [0,0]", "[2e-06,-2e-06] [-2,0]"]
+    rng = np.random.default_rng(7)
+    noise = rng.normal(size=(2, 5, 5)) * np.array([1.0, 1e-7])[:, None, None]
+    for scale in (1.0, -1.0, 1e-20, -1e-20, 1e6):
+        for x in (m, rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
+                  noise[0] + 1j * noise[1], -np.zeros((3, 3), dtype=complex)):
+            assert format_matrix(scale * x, tol) == _format_loop(scale * x, tol)
+
+
 def test_classify_d2(capsys):
     code, out = run(capsys, "classify", fixture("d2.tro"))
     assert code == 0

@@ -8,6 +8,7 @@ counts (3^n, with 2^n full-support ones) and for every meet value."""
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from trokit import (
     BlockCapError,
+    CenterAtoms,
+    ClassificationReport,
     FiniteInvolutiveSpace,
     Tripotent,
     TroError,
@@ -24,11 +27,14 @@ from trokit import (
     build_sections,
     center_atoms,
     central_blocks,
+    central_tripotents,
     classify,
     closure_from_generators,
+    decompose,
     embed_as_tro,
     enumerate_central_tripotents,
     is_selfadjoint_tripotent,
+    is_unorderable,
     leq,
     matrix_unit,
     maximal_central_tripotents,
@@ -36,7 +42,7 @@ from trokit import (
 )
 from trokit import ordering as ordering_module
 from trokit import tripotents as tripotents_module
-from trokit.tripotents import _is_sign_cube
+from trokit.tripotents import _is_sign_cube, _sort_key
 
 from hosts import block_host, corner_tro, diagonal_tro, full_matrix_tro
 
@@ -504,3 +510,144 @@ def test_classify_computes_the_blocks_once(monkeypatch):
     info = classify(diagonal_tro(3))
     assert info.natural_cone_count == 27 and info.block_count == 3
     assert len(calls) == 1
+
+
+def test_one_column_blocks_are_not_split_again(monkeypatch):
+    # the generic combination splits D_5 into five one-column blocks; no
+    # member is compressed to them, since a 1 x 1 matrix is one cluster
+    z = diagonal_tro(5)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    blocks = central_blocks(z)
+    assert calls == [(5, 5)]
+    assert sorted(int(np.argmax(np.abs(q[:, 0]))) for q in blocks) == [0, 1, 2, 3, 4]
+    assert all(q.shape == (5, 1) for q in blocks)
+
+
+def _central_tripotents_loop(z, atoms, maximal: bool = False) -> list[Tripotent]:
+    """The enumeration that ``central_tripotents`` replaced: one Python
+    sum of the block projectors per sign vector, in ``product`` order,
+    then a stable sort by ``_sort_key``."""
+    if atoms.count == 0:
+        zero = Tripotent(np.zeros((z.ambient_dim,) * 2, dtype=complex), True, ())
+        return [] if maximal else [zero]
+    found = []
+    for eps in product((-1, 1) if maximal else (-1, 0, 1), repeat=atoms.count):
+        alpha = atoms.layout @ np.asarray(eps, dtype=float) + 0.0
+        found.append(Tripotent(sum(a * p for a, p in zip(alpha, atoms.projectors)), True, eps))
+    found.sort(key=lambda tp: _sort_key(tp.u))
+    return found
+
+
+def _classify_loop(z, atoms) -> ClassificationReport:
+    """``classify`` built from the loop's list, as it was before the sign
+    matrix: every tripotent built, the first maximal one decomposed."""
+    trips = _central_tripotents_loop(z, atoms)
+    maximal_indices = tuple(i for i, tp in enumerate(trips) if tp.has_full_support)
+    part, comp = decompose(z, trips[maximal_indices[0] if maximal_indices else 0])
+    lattice = atoms.certified and _is_sign_cube([tp.signs for tp in trips])
+    return ClassificationReport(
+        ambient_dim=z.ambient_dim, space_dim=z.dim, square_dim=z.square.dim,
+        algebra_part_dim=z.alg_part.dim, center_dim=z.center.dim,
+        block_count=len(atoms.projectors), natural_cone_count=len(trips),
+        maximal_cone_count=len(maximal_indices), unorderable=is_unorderable(z),
+        maximal_indices=maximal_indices, decomposition_dims=(part.dim, comp.dim),
+        negation_closed=lattice, meet_closed=lattice)
+
+
+def _assert_enumeration_matches_loop(z) -> None:
+    try:
+        atoms = center_atoms(z)
+    except TroError:
+        with pytest.raises(TroError):
+            classify(z)
+        return
+    for maximal in (False, True):
+        got = central_tripotents(z, atoms, maximal=maximal)
+        want = _central_tripotents_loop(z, atoms, maximal=maximal)
+        assert [tp.signs for tp in got] == [tp.signs for tp in want]
+        for a, b in zip(got, want):
+            assert a.is_central and a.u.shape == b.u.shape
+            assert np.array_equal(a.u, b.u)
+            assert np.array_equal(np.signbit(a.u.view(float)), np.signbit(b.u.view(float)))
+    assert classify(z) == _classify_loop(z, atoms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(1, 2), min_size=1, max_size=6).filter(lambda ds: sum(ds) <= 8),
+       conjugate=st.sampled_from((True, True, False)),
+       scale=st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e),
+       tol=st.floats(-9.0, -3.0).map(lambda e: 10.0 ** e),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_enumeration_matches_the_per_code_loop(dims, conjugate, scale, tol, seed):
+    # the stacked order and matrices equal the per-code sums sorted by
+    # _sort_key bit for bit, on block hosts conjugated by a random
+    # unitary and scaled, whole and maximal
+    d = sum(dims)
+    gens = block_host(*dims).space.basis()
+    if conjugate:
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        gens = [u @ g @ u.conj().T for g in gens]
+    _assert_enumeration_matches_loop(
+        closure_from_generators([scale * g for g in gens], dim=d, tol=tol))
+
+
+@pytest.mark.parametrize("host", [lambda: corner_tro(3), lambda: _discrete_embedding(6),
+                                  lambda: _conjugated(block_host(2, 1, 1), 11)])
+def test_enumeration_matches_the_per_code_loop_on_fixed_hosts(host):
+    # a trivial center, atoms over sign-paired blocks, complex projectors
+    _assert_enumeration_matches_loop(host())
+
+
+def test_classify_builds_one_tripotent_matrix(monkeypatch):
+    z = diagonal_tro(5)
+    atoms = center_atoms(z)
+    rows = []
+    stack = CenterAtoms.stack
+
+    def counting(self, signs):
+        out = stack(self, signs)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(ordering_module, "center_atoms", lambda z, max_blocks: atoms)
+    monkeypatch.setattr(CenterAtoms, "stack", counting)
+    info = classify(z)
+    assert rows == [1]
+    assert (info.natural_cone_count, len(info.maximal_indices)) == (243, 32)
+
+
+def test_enumeration_sorts_with_one_lexsort(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+
+    def counting(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    def refuse(u):
+        raise AssertionError("no tripotent is keyed on its own")
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    monkeypatch.setattr(tripotents_module, "_sort_key", refuse)
+    assert len(enumerate_central_tripotents(diagonal_tro(4))) == 81
+    assert calls == [4]  # the four diagonal entries; every other column is zero
+
+
+def test_classify_of_d10_stays_within_32_mb():
+    z = diagonal_tro(10)
+    tracemalloc.start()
+    try:
+        info = classify(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.natural_cone_count, info.maximal_cone_count) == (3 ** 10, 2 ** 10)
+    assert peak < 32 * 2 ** 20
