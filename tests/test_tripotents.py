@@ -606,6 +606,26 @@ def test_enumeration_matches_the_per_code_loop_on_fixed_hosts(host):
     _assert_enumeration_matches_loop(host())
 
 
+def test_order_keys_imaginary_parts_rounds_and_keeps_ties():
+    # projectors onto (1, i) and (1, -i): equal real parts, so the
+    # imaginary parts order their sign sums
+    p, q = (np.array([[0.5, -0.5j * s], [0.5j * s, 0.5]]) for s in (1, -1))
+    atoms = CenterAtoms((p, q), np.eye(2, dtype=int), True)
+    signs = [tuple(e) for e in atoms.sorted_signs().tolist()]
+    assert signs == [tp.signs for tp in _central_tripotents_loop(None, atoms)]
+    assert signs.index((1, 0)) < signs.index((0, 1))
+    # blocks that are not projectors, since the order is arithmetic on
+    # their entries: 0.1 + 0.2 and 0.3 tie once rounded, so the second
+    # entry puts (1, 1, 0, 0) first, and the last two blocks are equal, so
+    # their sums tie and keep the order of itertools.product
+    blocks = tuple(np.diag(v).astype(complex) for v in ([0.1, 0], [0.2, 0], [0.3, 1], [0.3, 1]))
+    atoms = CenterAtoms(blocks, np.eye(4, dtype=int), True)
+    signs = [tuple(e) for e in atoms.sorted_signs().tolist()]
+    assert signs == [tp.signs for tp in _central_tripotents_loop(None, atoms)]
+    assert signs.index((1, 1, 0, 0)) < signs.index((0, 0, 1, 0))
+    assert signs.index((0, 0, 0, 1)) == signs.index((0, 0, 1, 0)) - 1
+
+
 def test_classify_builds_one_tripotent_matrix(monkeypatch):
     z = diagonal_tro(5)
     atoms = center_atoms(z)
