@@ -224,28 +224,47 @@ class Subspace:
         return Subspace(ambient_dim, np.zeros((0, ambient_dim, ambient_dim), dtype=complex))
 
 
-def orthonormalize(mats: Sequence[np.ndarray], dim: int | None = None,
+def _svals_vh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of a 2-D array.
+
+    An array with more than twice as many rows as columns is reduced to
+    its R factor first: ``a = QR`` gives ``a* a = R* R``, so the values
+    and right vectors are those of R, and no row-sized factor is built.
+    """
+    if a.shape[0] > 2 * a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
+    _, svals, vh = np.linalg.svd(a, full_matrices=False)
+    return svals, vh
+
+
+def orthonormalize(mats: Sequence[np.ndarray] | np.ndarray, dim: int | None = None,
                    tol: Tolerance | float | None = None) -> Subspace:
     """Orthonormal basis of span(mats) under the Hilbert-Schmidt product.
 
+    ``mats`` is a sequence of d x d matrices or one ``(n, d, d)`` array.
     Linearly dependent inputs are dropped: directions whose singular value
     falls at or below ``eps * max(1, s_max)`` do not survive.  ``dim`` is
-    required when ``mats`` is empty (the ambient size cannot be inferred).
+    required when ``mats`` is an empty sequence (the ambient size cannot
+    be inferred).
     """
     t = Tolerance.of(tol)
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        if dim is None:
-            raise ValueError("ambient dimension required for an empty spanning set")
-        return Subspace.zero(dim)
-    d = mats[0].shape[0]
+    if not isinstance(mats, np.ndarray):
+        mats = [as_matrix(m) for m in mats]
+        if not mats:
+            if dim is None:
+                raise ValueError("ambient dimension required for an empty spanning set")
+            return Subspace.zero(dim)
+        if any(m.shape != mats[0].shape for m in mats):
+            raise ValueError("matrices of mixed sizes cannot span a subspace")
+    stack = np.asarray(mats, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+    d = stack.shape[-1]
     if dim is not None and dim != d:
         raise ValueError(f"ambient dimension mismatch: {dim} vs {d}")
-    for m in mats:
-        if m.shape[0] != d:
-            raise ValueError("matrices of mixed sizes cannot span a subspace")
-    stack = np.stack([m.ravel() for m in mats])
-    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
+    if stack.shape[0] == 0:
+        return Subspace.zero(d)
+    svals, vh = _svals_vh(stack.reshape(-1, d * d))
     if svals.size == 0 or svals[0] <= t.cutoff(0.0):
         return Subspace.zero(d)
     keep = svals > t.cutoff(float(svals[0]))

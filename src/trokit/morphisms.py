@@ -38,7 +38,7 @@ from .linalg import (
     orthonormalize,
     span_union,
 )
-from .tro import Tro, _row_norms, _triple_chunks, ternary_product
+from .tro import Tro, _products, _row_norms, _triple_chunks, ternary_product
 
 __all__ = [
     "LinearMap",
@@ -191,15 +191,10 @@ def induced_hom(t_map: LinearMap) -> tuple[LinearMap, bool]:
     if len(basis) == 0:
         return LinearMap(square_tro, t_map.codomain_dim,
                          np.zeros((t_map.codomain_dim ** 2, d * d), dtype=complex)), True
-    xs = []
-    ys = []
-    for x in basis:
-        tx = t_map.apply(x)
-        for y in basis:
-            xs.append((adjoint(x) @ y).ravel())
-            ys.append((adjoint(tx) @ t_map.apply(y)).ravel())
-    xmat = np.stack(xs, axis=1)
-    ymat = np.stack(ys, axis=1)
+    dc = t_map.codomain_dim
+    images = _apply_rows(t_map, basis).reshape(-1, dc, dc)
+    xmat = _products(adjoint(basis), basis).T  # columns b_i* b_j, i outer
+    ymat = _products(adjoint(images), images).T
     m = ymat @ np.linalg.pinv(xmat)
     resid = float(np.linalg.norm(m @ xmat - ymat))
     scale = float(np.linalg.norm(ymat))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -419,3 +420,29 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "trokit-report classify" in proc.stdout
+
+
+def test_classify_of_a_random_m10_runs_within_1_gb(tmp_path):
+    # a cap corner: dim 10 from two generic generators, whose closure
+    # reaches all of M_10 through rounds of growing spans
+    rng = np.random.default_rng(10)
+    lines = ["kind: tro", "dim: 10"]
+    for _ in range(2):
+        g = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        lines += ["generator:"] + [" ".join(f"[{x.real!r},{x.imag!r}]" for x in row)
+                                   for row in g.tolist()]
+    doc = tmp_path / "m10.tro"
+    doc.write_text("\n".join(lines) + "\n")
+    src = str(Path(trokit.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = 2 ** 30
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "trokit", "classify", str(doc)],
+                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert report_value(proc.stdout, "center-dim") == "1"

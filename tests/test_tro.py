@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trokit import (
+    Tolerance,
     Tro,
     TroError,
     algebra_part,
     center_of,
     closure_from_generators,
     direct_sum,
+    intersect,
     is_selfadjoint_space,
     is_ternary_closed,
     matrix_unit,
@@ -34,7 +36,8 @@ from trokit import (
 )
 from trokit import tro as tro_module
 
-from hosts import block_host, corner_tro, diagonal_tro, full_matrix_tro, random_generated_tro
+from hosts import block_host, corner_tro, diagonal_tro, full_matrix_tro, random_generated_tro, \
+    random_projection
 
 
 # exact rational-complex matrices: d x d tuples of (re, im) Fractions
@@ -291,30 +294,30 @@ def test_empty_generators_give_zero_space():
     assert z.center.dim == 0
 
 
-def _count_triple_passes(monkeypatch) -> list[int]:
+def _count_certificate_passes(monkeypatch) -> list[int]:
     calls = []
-    chunks = tro_module._triple_chunks
+    certificate = tro_module._open_triples
 
-    def counted(basis):
-        calls.append(basis.shape[0])
-        return chunks(basis)
+    def counted(space, tol, left):
+        calls.append(space.dim)
+        return certificate(space, tol, left)
 
-    monkeypatch.setattr(tro_module, "_triple_chunks", counted)
+    monkeypatch.setattr(tro_module, "_open_triples", counted)
     return calls
 
 
 def test_closure_checks_the_triples_once(monkeypatch):
-    calls = _count_triple_passes(monkeypatch)
+    calls = _count_certificate_passes(monkeypatch)
     units = [matrix_unit(3, i, j) for i in range(3) for j in range(3)]
     z = closure_from_generators(units)
-    # the seed is closed: its one triple pass is also the certificate
+    # the seed is closed: its one pass is also the closure certificate
     assert calls == [9]
     Tro.certify(z.space)
     assert calls == [9, 9]
 
 
 def test_closure_rounds_end_with_a_pass_that_adds_nothing(monkeypatch, rng):
-    calls = _count_triple_passes(monkeypatch)
+    calls = _count_certificate_passes(monkeypatch)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     z = closure_from_generators([g])
     assert z.dim == 16
@@ -322,11 +325,35 @@ def test_closure_rounds_end_with_a_pass_that_adds_nothing(monkeypatch, rng):
 
 
 def test_is_ternary_closed_is_one_triple_pass(monkeypatch):
-    calls = _count_triple_passes(monkeypatch)
+    calls = _count_certificate_passes(monkeypatch)
     s = orthonormalize([matrix_unit(2, 0, 0), matrix_unit(2, 0, 1) + matrix_unit(2, 1, 0)])
     assert not is_ternary_closed(s)
     assert is_ternary_closed(diagonal_tro(2).space)
     assert calls == [2, 2, 2]
+
+
+def test_closure_computes_one_square_per_round(monkeypatch, rng):
+    squares, passes = [], _count_certificate_passes(monkeypatch)
+    square_of = tro_module._square_of
+
+    def counted(space, tol):
+        squares.append(space.dim)
+        return square_of(space, tol)
+
+    monkeypatch.setattr(tro_module, "_square_of", counted)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    closure_from_generators([g])
+    assert squares == passes
+    Tro.certify(full_matrix_tro(2).space)
+    assert squares[-2:] == passes[-2:] == [4, 4]
+
+
+def test_ternary_closedness_of_spans_that_are_not_selfadjoint():
+    # span{E12}: E12 E12* E12 = E12, closed though not selfadjoint
+    assert is_ternary_closed(orthonormalize([matrix_unit(2, 0, 1)]))
+    # span{1, E12}: E12 E12* 1 = E11 leaves it, although its products
+    # z w (1, E12, and E12 E12 = 0) all stay inside
+    assert not is_ternary_closed(orthonormalize([np.eye(2), matrix_unit(2, 0, 1)]))
 
 
 def test_closure_of_m7_stays_within_32_mb():
@@ -339,6 +366,19 @@ def test_closure_of_m7_stays_within_32_mb():
         tracemalloc.stop()
     assert (z.dim, z.center.dim) == (49, 1)
     assert peak < 32 * 2 ** 20
+
+
+def test_closure_of_random_m10_stays_within_96_mb():
+    rng = np.random.default_rng(10)
+    gens = [rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        z = closure_from_generators(gens, dim=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (z.dim, z.center.dim) == (100, 1)
+    assert peak < 96 * 2 ** 20
 
 
 def _invariants(z: Tro) -> tuple[int, int, int, int]:
@@ -360,3 +400,101 @@ def test_closure_invariants_survive_conjugation_and_scaling(dims, seed):
                   [1e-6 * g for g in gens],
                   [1e6 * g for g in gens]):
         assert _invariants(closure_from_generators(moved, dim=d)) == expect
+
+
+# the k^3 certificate that the square certificate replaced: every basis
+# triple b_i b_j* b_l against eps * max(1, |triple|)
+
+def _open_triples_loop(space, t: Tolerance) -> np.ndarray:
+    k, vecs = space.dim, space.vecs
+    off = np.linalg.svd(vecs, full_matrices=True)[2][k:].conj().T
+    out = [np.empty((0, vecs.shape[1]), dtype=complex)]
+    for flat in tro_module._triple_chunks(space.onb):
+        scales = np.maximum(1.0, tro_module._row_norms(flat))
+        out.append(flat[tro_module._row_norms(flat @ off) > t.eps * scales])
+    return np.concatenate(out)
+
+
+def _closure_invariants_loop(gens: list[np.ndarray], d: int, t: Tolerance):
+    """Closure by triple rounds, with the center from one commutator
+    block per square element."""
+    space = orthonormalize(gens + [g.conj().T for g in gens], dim=d, tol=t)
+    while True:
+        failing = _open_triples_loop(space, t)
+        if failing.shape[0] == 0:
+            break
+        grown = orthonormalize(list(np.concatenate([space.vecs, failing]).reshape(-1, d, d)),
+                               dim=d, tol=t)
+        assert grown.dim > space.dim
+        space = grown
+    square = tro_module._square_of(space, t)
+    center = space.dim
+    if space.dim and square.dim:
+        rows = [(a[None] @ space.onb - space.onb @ a[None]).reshape(space.dim, d * d).T
+                for a in square.onb]
+        svals = np.linalg.svd(np.concatenate(rows), compute_uv=False)
+        center -= int(np.sum(svals > t.cutoff(float(svals[0]))))
+    return space.dim, square.dim, intersect(space, square, t).dim, center
+
+
+def _oracle_host(kind: str, dims: list[int], rng: np.random.Generator) -> list[np.ndarray]:
+    """Generators of a block sum of full algebras (``block``: its matrix
+    units; ``generic``: two random block-diagonal matrices) or of the
+    corner ``e M_d (1-e)`` for a random projection e (``corner``)."""
+    d = sum(dims)
+    if kind == "corner":
+        e = random_projection(d, dims[0], rng)
+        return [e @ matrix_unit(d, i, j) @ (np.eye(d) - e) for i in range(d) for j in range(d)]
+    if kind == "block":
+        return _block_units(dims)
+    gens = []
+    for _ in range(2):
+        g = np.zeros((d, d), dtype=complex)
+        off = 0
+        for b in dims:
+            g[off:off + b, off:off + b] = rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
+            off += b
+        gens.append(g)
+    return gens
+
+
+def _block_units(dims: list[int]) -> list[np.ndarray]:
+    d, off, gens = sum(dims), 0, []
+    for b in dims:
+        gens += [matrix_unit(d, off + i, off + j) for i in range(b) for j in range(b)]
+        off += b
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["block", "generic", "corner"]),
+       dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda ds: sum(ds) <= 5),
+       conjugate=st.integers(0, 2),
+       scale=st.floats(-4, 4),
+       tol=st.floats(-12, -3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_square_certificate_agrees_with_the_triple_loop(kind, dims, conjugate, scale, tol, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "corner" and len(dims) == 1:
+        dims = dims + [1]
+    d = sum(dims)
+    gens = _oracle_host(kind, dims, rng)
+    if conjugate:
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        gens = [u @ g @ u.conj().T for g in gens]
+    gens = [10.0 ** scale * g for g in gens]
+    t = Tolerance(10.0 ** tol)
+    z = closure_from_generators(gens, dim=d, tol=t)
+    assert _invariants(z) == _closure_invariants_loop(gens, d, t)
+
+    # a basis element tilted off the span by 0.1 and 10 times the cutoff;
+    # a host below the cutoff's scale closes to the zero space
+    if z.dim in (0, d * d):
+        return
+    w = z.space.residual_rows(rng.normal(size=(1, d * d)) + 1j * rng.normal(size=(1, d * d)))
+    w = (w / np.linalg.norm(w)).reshape(d, d)
+    for factor in (0.1, 10.0):
+        basis = z.space.basis()
+        basis[0] = basis[0] + factor * t.eps * w
+        s = orthonormalize(basis, dim=d, tol=t)
+        assert is_ternary_closed(s, t) == (_open_triples_loop(s, t).shape[0] == 0), factor
