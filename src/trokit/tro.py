@@ -37,7 +37,7 @@ and 4.3 GB resident.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,20 +87,6 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     side = np.swapaxes(b, 0, 1).reshape(d, k * d)  # [b_0 b_1 ...]
     prods = (a.reshape(m * d, d) @ side).reshape(m, d, k, d)
     return np.swapaxes(prods, 1, 2).reshape(m * k, d * d)
-
-
-def _triple_chunks(basis: np.ndarray) -> Iterator[np.ndarray]:
-    """All ternary products ``b_i b_j* b_l`` of the given matrices, one
-    chunk per first index ``i``: the ``k^2`` triples ``(j, l)`` in row
-    order, vectorized to shape ``(k*k, d*d)``.
-
-    Each chunk is the :func:`_products` of the stacked ``b_i b_j*`` with
-    the basis, so memory stays at ``k^2 d^2`` entries.
-    """
-    k, d = basis.shape[0], basis.shape[-1]
-    side_adj = np.swapaxes(adjoint(basis), 0, 1).reshape(d, k * d)  # [b_0* b_1* ...]
-    for b in basis:
-        yield _products(np.swapaxes((b @ side_adj).reshape(d, k, d), 0, 1), basis)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from trokit import tripotents as tripotents_module
 from trokit.cli import ParseError, format_matrix, main, parse_document
 from trokit.linalg import EPS_FLOOR
 
-from hosts import full_matrix_tro
+from hosts import corner_tro, full_matrix_tro, random_projection
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -316,6 +316,29 @@ def test_checkmap_witness_reverifies(capsys):
     blocks = [[big[2 * i:2 * i + 2, 2 * j:2 * j + 2] for j in range(2)]
               for i in range(2)]
     assert np.allclose(t.apply_blocks(blocks), image)
+
+
+def test_checkmap_identity_on_a_rank_2_corner_passes(capsys, tmp_path):
+    # the induced homomorphism is solved in the square's coordinates; a
+    # pseudo-inverse at numpy's default cutoff refused this identity
+    e = random_projection(4, 2, np.random.default_rng(0))
+    z = corner_tro(4, e)
+
+    def rows(m: np.ndarray) -> list[str]:
+        return [" ".join(f"[{x.real!r},{x.imag!r}]" for x in row) for row in m.tolist()]
+
+    lines = ["kind: map", "dim: 4", "codim: 4"]
+    for b in z.space.basis():
+        lines += ["generator:"] + rows(b)
+    for b in z.space.basis():
+        lines += ["pair:"] + rows(b) + ["maps-to:"] + rows(b)
+    doc = tmp_path / "corner_identity.map"
+    doc.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "checkmap", str(doc))
+    assert report_value(out, "domain-dim") == "8"
+    assert "check ternary-star-morphism pass" in out
+    assert "check induced-hom-well-defined pass" in out
+    assert code == 0
 
 
 def test_reports_are_byte_identical(capsys):

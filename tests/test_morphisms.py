@@ -5,13 +5,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trokit import (
     LinearMap,
+    Tolerance,
+    Tro,
+    TroError,
+    adjoint,
+    closure_from_generators,
     compress,
     cp_refutation,
     induced_hom,
     is_completely_positive_up_to,
+    hs_inner,
     is_psd,
     is_selfadjoint_map,
     is_ternary_star_morphism,
@@ -20,7 +28,10 @@ from trokit import (
     ternary_product,
 )
 
+from trokit.morphisms import _exceeds
+
 from hosts import corner_tro, diagonal_tro, full_matrix_tro, random_projection
+from oracles import oracle_host, triple_chunks
 
 
 def test_identity_is_ternary_star_morphism():
@@ -124,6 +135,21 @@ def test_induced_hom_restricts_multiplicatively_on_algebra_part(rng):
                                t.apply(x).conj().T @ t.apply(y), atol=1e-8)
 
 
+def test_induced_hom_of_the_identity_on_rank_2_corners_is_well_defined():
+    # the solve in the square's coordinates has rank dim Z^2; a pseudo-
+    # inverse at numpy's default cutoff inverted singular values of about
+    # 1e-14 and refused 14 of these 20 corners
+    for seed in range(20):
+        z = corner_tro(4, random_projection(4, 2, np.random.default_rng(seed)))
+        t = LinearMap.identity(z)
+        hom, ok = induced_hom(t)
+        assert ok, seed
+        assert is_ternary_star_morphism(t), seed
+        assert z.square.dim == 8
+        for a in z.square.basis():
+            assert np.allclose(hom.apply(a), a, atol=1e-9)
+
+
 def test_cp_identity_and_conjugation_pass(rng):
     m2 = full_matrix_tro(2)
     assert is_completely_positive_up_to(LinearMap.identity(m2), 3, rng=rng)
@@ -195,6 +221,16 @@ def test_compress_rejects_non_positive():
         compress(LinearMap.transpose_map(m2))
 
 
+def test_compress_refuses_an_idempotent_that_is_not_star_preserving():
+    # on span{E12, E21}, P(x) = x_12 E12 is idempotent, leaves the space
+    # invariant and is contractive, and the algebra part is zero, so the
+    # positivity samples pass; but P(E21) = 0 while P(E12)* = E21
+    z = Tro.from_matrices([matrix_unit(2, 0, 1), matrix_unit(2, 1, 0)])
+    p = LinearMap.from_function(lambda m: m[0, 1] * matrix_unit(2, 0, 1), z, 2)
+    with pytest.raises(ValueError, match="inherited product violates the involution law"):
+        compress(p)
+
+
 def test_period_two_automorphism_on_corner():
     corner = corner_tro(2)
     auto = period_two_automorphism(corner)
@@ -215,3 +251,147 @@ def test_period_two_automorphism_on_corner():
 def test_period_two_automorphism_needs_trivial_overlap():
     with pytest.raises(ValueError):
         period_two_automorphism(diagonal_tro(2))
+
+
+# the oracle hosts: block sums, generic block-diagonal generators and
+# corners, conjugated by a random unitary and scaled
+
+HOSTS = dict(kind=st.sampled_from(["block", "generic", "corner"]),
+             dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+                 lambda ds: sum(ds) <= 5),
+             conjugate=st.integers(0, 2),
+             scale=st.floats(-4, 4),
+             tol=st.floats(-12, -3),
+             seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _oracle_tro(kind, dims, conjugate, scale, tol, rng) -> tuple[Tro, np.ndarray, list[int]]:
+    """The host, the unitary it was conjugated by, and its block sizes."""
+    if kind == "corner" and len(dims) == 1:
+        dims = dims + [1]
+    d = sum(dims)
+    gens = oracle_host(kind, dims, rng)
+    u = np.eye(d, dtype=complex)
+    if conjugate:
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        gens = [u @ g @ u.conj().T for g in gens]
+    try:
+        z = closure_from_generators([10.0 ** scale * g for g in gens], dim=d,
+                                    tol=Tolerance(10.0 ** tol))
+    except TroError:
+        # generators whose equal singular values sit at the cutoff split
+        # into a span that is not selfadjoint; the maps are not what is
+        # at fault (test_tro.py::test_closure_at_the_cutoff_keeps_the_adjoint)
+        assume(False)
+    return z, u, dims
+
+
+def _first_block(u: np.ndarray, dims: list[int]) -> np.ndarray:
+    q = np.zeros(u.shape, dtype=complex)
+    q[:dims[0], :dims[0]] = np.eye(dims[0])
+    return u @ q @ u.conj().T
+
+
+# the k^3 check that the check through the square replaced: every basis
+# triple b_i b_j* b_l against eps * max(1, |lhs|, |rhs|)
+
+def _is_ternary_star_morphism_loop(t_map: LinearMap) -> bool:
+    if not is_selfadjoint_map(t_map):
+        return False
+    basis = t_map.domain.space.onb
+    dc = t_map.codomain_dim
+    images = (t_map.domain.space.vecs @ t_map.matrix.T).reshape(-1, dc, dc)
+    for triples, rhs in zip(triple_chunks(basis), triple_chunks(images)):
+        lhs = triples @ t_map.matrix.T
+        if np.any(_exceeds(lhs - rhs, lhs, rhs, t_map.domain.tol)):
+            return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(**HOSTS)
+def test_morphism_check_agrees_with_the_triple_loop(kind, dims, conjugate, scale, tol, seed):
+    rng = np.random.default_rng(seed)
+    z, u, dims = _oracle_tro(kind, dims, conjugate, scale, tol, rng)
+    d = z.ambient_dim
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    conj = LinearMap.conjugation(z, v)
+    # a selfadjoint map of norm one, so the tilt probes the products
+    # rather than the *-check; at 1x the cutoff the two checks may differ
+    g = LinearMap(z, d, rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
+    e = g.matrix + LinearMap.from_function(lambda m: adjoint(g.apply(adjoint(m))), z, d).matrix
+    e /= np.linalg.norm(e, 2)
+    one = np.eye(d * d, dtype=complex)
+    maps = [LinearMap.identity(z), conj, LinearMap(z, d, -one), LinearMap(z, d, 2 * one),
+            LinearMap.transpose_map(z), LinearMap.compression(z, _first_block(u, dims))]
+    maps += [LinearMap(z, d, conj.matrix + factor * z.tol.eps * e) for factor in (0.1, 10.0)]
+    verdicts = [is_ternary_star_morphism(m) for m in maps]
+    assert verdicts == [_is_ternary_star_morphism_loop(m) for m in maps]
+    assert verdicts[:4] == [True, True, True, z.dim == 0]
+    assert verdicts[6:] == [True, z.dim == 0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(**HOSTS)
+def test_induced_hom_derives_the_square_as_certify_does(kind, dims, conjugate, scale, tol, seed):
+    z = _oracle_tro(kind, dims, conjugate, scale, tol, np.random.default_rng(seed))[0]
+    derived = induced_hom(LinearMap.identity(z))[0].domain
+    certified = Tro.certify(z.square, z.tol)
+    assert derived.space is z.square
+    assert ((derived.dim, derived.square.dim, derived.alg_part.dim, derived.center.dim)
+            == (certified.dim, certified.square.dim, certified.alg_part.dim,
+                certified.center.dim))
+
+
+# the k^3 check that the *-check in compress replaced: the involution law
+# [x, y, w]* = [w*, y*, x*] of the inherited product, and its closure in
+# the range, over all range basis triples
+
+def _compress_triples_pass(p_map: LinearMap, range_space) -> bool:
+    t, d = p_map.domain.tol, p_map.codomain_dim
+    basis = range_space.onb
+
+    def apply(mats):
+        return mats.reshape(len(mats), d * d) @ p_map.matrix.T
+
+    images = apply(basis).reshape(-1, d, d)
+    flipped = adjoint(apply(adjoint(basis)).reshape(-1, d, d))
+    for outer, inner in zip(triple_chunks(images), triple_chunks(flipped)):
+        prods = apply(outer)
+        lhs = adjoint(prods.reshape(-1, d, d)).reshape(prods.shape)
+        rhs = apply(adjoint(inner.reshape(-1, d, d)))
+        resid = range_space.residual_rows(prods)
+        if np.any(_exceeds(lhs - rhs, lhs, rhs, t) | _exceeds(resid, prods, prods, t)):
+            return False
+    return True
+
+
+@settings(max_examples=20, deadline=None)
+@given(**HOSTS)
+def test_compress_accepts_only_maps_the_triple_check_accepts(kind, dims, conjugate, scale, tol,
+                                                            seed):
+    rng = np.random.default_rng(seed)
+    z, u, dims = _oracle_tro(kind, dims, conjugate, scale, tol, rng)
+    d = z.ambient_dim
+    q = _first_block(u, dims)
+    # x -> <w, x> w for the top singular pair w = xi eta* of a basis
+    # element, a rank-one partial isometry in Z; on corners xi and eta
+    # are orthogonal and the map is not *-preserving
+    left, _, right = np.linalg.svd(z.space.onb[0] if z.dim else np.eye(d))
+    w = np.outer(left[:, 0], right[0])
+    maps = [LinearMap.identity(z),
+            LinearMap.compression(z, q),
+            LinearMap.from_function(lambda m: q @ m @ q + (np.eye(d) - q) @ m @ (np.eye(d) - q),
+                                    z, d),
+            LinearMap.from_function(lambda m: u @ np.diag(np.diag(u.conj().T @ m @ u))
+                                    @ u.conj().T, z, d),
+            LinearMap.from_function(lambda m: hs_inner(w, m) * w, z, d)]
+    accepted = 0
+    for p in maps:
+        try:
+            system = compress(p, rng=np.random.default_rng(0), samples=4)
+        except ValueError:
+            continue
+        accepted += 1
+        assert _compress_triples_pass(p, system.range_space)
+    assert accepted >= 1  # the identity
