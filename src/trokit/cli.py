@@ -46,13 +46,7 @@ from .commutative import (
     recover_open_set,
 )
 from .linalg import Tolerance, adjoint, as_matrix
-from .morphisms import (
-    LinearMap,
-    cp_refutation,
-    induced_hom,
-    is_selfadjoint_map,
-    is_ternary_star_morphism,
-)
+from .morphisms import LinearMap, _morphism_pass, cp_refutation
 from .ordering import classify
 from .tripotents import BlockCapError, enumerate_central_tripotents, leq, leq_table, meet
 from .tro import Tro, TroError, closure_from_generators
@@ -380,9 +374,9 @@ def cmd_checkmap(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
         raise ParseError(0, str(exc)) from None
     rep.line(f"domain-dim {z.dim}")
     rep.line(f"codomain-dim {doc.codim}")
-    ternary = is_ternary_star_morphism(t_map)
+    selfadjoint, well_defined, ternary = _morphism_pass(t_map)
     rep.check("ternary-star-morphism", ternary)
-    rep.check("selfadjoint-map", is_selfadjoint_map(t_map))
+    rep.check("selfadjoint-map", selfadjoint)
     rng = np.random.default_rng(seed)
     refutation = cp_refutation(t_map, max_level=max_level, rng=rng)
     if refutation is None:
@@ -400,7 +394,6 @@ def cmd_checkmap(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
         rep.matrix("cp-witness-image", image)
         rep.check("completely-positive-up-to-%d" % max_level, False)
     if ternary:
-        _, well_defined = induced_hom(t_map)
         rep.check("induced-hom-well-defined", well_defined)
     return rep.emit()
 

@@ -200,7 +200,12 @@ class Subspace:
 
     def contains_all(self, mats: Iterable[np.ndarray],
                      tol: Tolerance | float | None = None) -> bool:
-        return all(self.contains(m, tol) for m in mats)
+        """:meth:`contains` for every matrix, in one :meth:`residual_rows` pass."""
+        t = Tolerance.of(tol)
+        stack = list(mats)
+        flat = np.array(stack, dtype=complex).reshape(len(stack), self.ambient_dim ** 2)
+        resid = np.linalg.norm(self.residual_rows(flat), axis=1)
+        return not np.any(resid > t.eps * np.maximum(1.0, np.linalg.norm(flat, axis=1)))
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace, acting on vectorized
@@ -210,7 +215,7 @@ class Subspace:
             (self.ambient_dim ** 2, self.ambient_dim ** 2), dtype=complex)
 
     def is_selfadjoint_set(self, tol: Tolerance | float | None = None) -> bool:
-        return self.contains_all((adjoint(b) for b in self.onb), tol)
+        return self.contains_all(adjoint(self.onb), tol)
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         d = self.ambient_dim
@@ -279,10 +284,7 @@ def span_union(*spaces: Subspace, tol: Tolerance | float | None = None) -> Subsp
     for s in spaces:
         if s.ambient_dim != d:
             raise ValueError("ambient dimension mismatch")
-    mats: list[np.ndarray] = []
-    for s in spaces:
-        mats.extend(s.basis())
-    return orthonormalize(mats, dim=d, tol=tol)
+    return orthonormalize(np.concatenate([s.onb for s in spaces]), dim=d, tol=tol)
 
 
 def intersect(a: Subspace, b: Subspace,

@@ -31,7 +31,6 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_matrix,
-    hs_norm,
     is_psd,
     matrix_unit,
     op_norm,
@@ -106,9 +105,8 @@ class LinearMap:
         xs = np.stack([as_matrix(x).ravel() for x, _ in pairs], axis=1)
         ys = np.stack([as_matrix(y).ravel() for _, y in pairs], axis=1)
         covered = orthonormalize([x for x, _ in pairs], dim=d, tol=t)
-        for b in domain.space.onb:
-            if not covered.contains(b, t):
-                raise ValueError("pairs do not span the domain space")
+        if not covered.contains_all(domain.space.onb, t):
+            raise ValueError("pairs do not span the domain space")
         m = ys @ np.linalg.pinv(xs)
         resid = float(np.linalg.norm(m @ xs - ys))
         if resid > t.cutoff(float(np.linalg.norm(ys))):
@@ -164,6 +162,21 @@ def _induced(t_map: LinearMap) -> tuple[np.ndarray, np.ndarray, bool]:
     return images, pi, resid <= z.tol.cutoff(float(np.linalg.norm(targets)))
 
 
+def _morphism_pass(t_map: LinearMap) -> tuple[bool, bool, bool]:
+    """Whether T is selfadjoint, its ``pi`` well defined (decided only
+    for selfadjoint T) and T a ternary *-morphism, in one pass."""
+    if not is_selfadjoint_map(t_map):
+        return False, False, False
+    images, pi, well_defined = _induced(t_map)
+    if not well_defined:
+        return True, False, False
+    z = t_map.domain
+    dc = t_map.codomain_dim
+    lhs = _apply_rows(t_map, _products(z.square.onb, z.space.onb))
+    rhs = _products(pi.reshape(-1, dc, dc), images)
+    return True, True, not np.any(_exceeds(lhs - rhs, lhs, rhs, z.tol))
+
+
 def is_ternary_star_morphism(t_map: LinearMap) -> bool:
     """T([x, y, z]) = [Tx, Ty, Tz] and T(x*) = T(x)*, decided on ``m k``
     products instead of ``k^3`` basis triples: it holds iff T is
@@ -176,25 +189,17 @@ def is_ternary_star_morphism(t_map: LinearMap) -> bool:
     (<=) ``a -> T(a z)`` and ``a -> pi(a) T(z)`` are linear on
     ``span{b_i b_j*} = Z^2``; at ``a = x y*`` they are the two sides.
     """
-    if not is_selfadjoint_map(t_map):
-        return False
-    images, pi, well_defined = _induced(t_map)
-    if not well_defined:
-        return False
-    z = t_map.domain
-    dc = t_map.codomain_dim
-    lhs = _apply_rows(t_map, _products(z.square.onb, z.space.onb))
-    rhs = _products(pi.reshape(-1, dc, dc), images)
-    return not np.any(_exceeds(lhs - rhs, lhs, rhs, z.tol))
+    return _morphism_pass(t_map)[2]
 
 
 def is_selfadjoint_map(t_map: LinearMap) -> bool:
-    t = t_map.domain.tol
-    for b in t_map.domain.space.onb:
-        tb = t_map.apply(b)
-        if hs_norm(t_map.apply(adjoint(b)) - adjoint(tb)) > t.cutoff(hs_norm(tb)):
-            return False
-    return True
+    """``T(b*) = T(b)*`` over the basis of Z, each within ``eps * max(1, |T b|)``."""
+    dc = t_map.codomain_dim
+    basis = t_map.domain.space.onb
+    images = _apply_rows(t_map, basis)
+    flipped = adjoint(_apply_rows(t_map, adjoint(basis)).reshape(-1, dc, dc))
+    return not np.any(_exceeds(flipped.reshape(images.shape) - images, images, images,
+                               t_map.domain.tol))
 
 
 def induced_hom(t_map: LinearMap) -> tuple[LinearMap, bool]:
@@ -311,12 +316,14 @@ def compress(p_map: LinearMap, rng: np.random.Generator | None = None,
     d = z.ambient_dim
     if p_map.codomain_dim != d:
         raise ValueError("an idempotent must map the ambient algebra to itself")
-    for b in z.space.onb:
-        once = p_map.apply(b)
-        if hs_norm(p_map.apply(once) - once) > t.cutoff(hs_norm(once)):
-            raise ValueError("map is not idempotent on the domain")
-        if not z.space.contains(once, t):
-            raise ValueError("map does not leave the domain space invariant")
+    once = _apply_rows(p_map, z.space.onb)
+    idem = _exceeds(once @ p_map.matrix.T - once, once, once, t)
+    # the first failing basis element names the fault, idempotency first
+    first = int(np.argmax(idem)) if idem.any() else len(once)
+    if not z.space.contains_all(once[:first], t):
+        raise ValueError("map does not leave the domain space invariant")
+    if first < len(once):
+        raise ValueError("map is not idempotent on the domain")
     if cp_refutation(p_map, max_level=2, rng=rng, samples=samples) is not None:
         raise ValueError("map is not completely positive at levels <= 2")
     for level in (1, 2):
@@ -329,9 +336,8 @@ def compress(p_map: LinearMap, rng: np.random.Generator | None = None,
                 raise ValueError("map is not contractive at level %d" % level)
     if not is_selfadjoint_map(p_map):
         raise ValueError("inherited product violates the involution law")
-    rng_mats = [p_map.apply(b) for b in z.space.onb]
-    range_space = orthonormalize(rng_mats, dim=d, tol=t)
-    cone_span = orthonormalize([p_map.apply(b) for b in z.alg_part.onb], dim=d, tol=t)
+    range_space = orthonormalize(once.reshape(-1, d, d), dim=d, tol=t)
+    cone_span = orthonormalize(_apply_rows(p_map, z.alg_part.onb).reshape(-1, d, d), dim=d, tol=t)
     return CompressedSystem(source=z, projection=p_map,
                             range_space=range_space, cone_span=cone_span)
 
@@ -369,15 +375,14 @@ def period_two_automorphism(z: Tro) -> Automorphism:
     image_mat = np.concatenate([z.square.vecs, -z.space.vecs]).T
     auto = Automorphism(algebra=alg, module=z.space, square=z.square,
                         matrix=image_mat @ np.linalg.pinv(basis_mat))
-    act = auto.apply
-    for b in alg.space.onb:
-        tb = act(b)
-        if hs_norm(act(tb) - b) > t.cutoff(1.0):
-            raise RuntimeError("flip automorphism failed the involution check")
-        if hs_norm(act(adjoint(b)) - adjoint(tb)) > t.cutoff(1.0):
-            raise RuntimeError("flip automorphism failed the *-check")
-    for a in alg.space.onb:
-        for b in alg.space.onb:
-            if hs_norm(act(a @ b) - act(a) @ act(b)) > t.cutoff(1.0):
-                raise RuntimeError("flip automorphism failed multiplicativity")
+    basis, flat, m = alg.space.onb, alg.space.vecs, auto.matrix.T
+    images = flat @ m
+    stack = images.reshape(basis.shape)
+    if np.any(_row_norms(images @ m - flat) > t.cutoff(1.0)):
+        raise RuntimeError("flip automorphism failed the involution check")
+    flipped = adjoint(basis).reshape(flat.shape) @ m - adjoint(stack).reshape(flat.shape)
+    if np.any(_row_norms(flipped) > t.cutoff(1.0)):
+        raise RuntimeError("flip automorphism failed the *-check")
+    if np.any(_row_norms(_products(basis, basis) @ m - _products(stack, stack)) > t.cutoff(1.0)):
+        raise RuntimeError("flip automorphism failed multiplicativity")
     return auto

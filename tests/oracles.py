@@ -1,6 +1,7 @@
 """References for the oracle tests: the ``k^3`` basis triples that the
-library's certificates through the square replaced, and the random
-hosts those certificates are compared on."""
+library's certificates through the square replaced, the per-element
+loops that its stacked map certificates replaced, and the random hosts
+those certificates are compared on."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import Iterator
 
 import numpy as np
 
-from trokit import adjoint, matrix_unit
+from trokit import Automorphism, LinearMap, adjoint, hs_norm, matrix_unit
 from trokit.tro import _products
 
 from hosts import random_projection
@@ -22,6 +23,33 @@ def triple_chunks(basis: np.ndarray) -> Iterator[np.ndarray]:
     side_adj = np.swapaxes(adjoint(basis), 0, 1).reshape(d, k * d)  # [b_0* b_1* ...]
     for b in basis:
         yield _products(np.swapaxes((b @ side_adj).reshape(d, k, d), 0, 1), basis)
+
+
+def is_selfadjoint_map_loop(t_map: LinearMap) -> bool:
+    """``T(b*) = T(b)*`` per basis element, within ``eps * max(1, |T b|)``."""
+    t = t_map.domain.tol
+    for b in t_map.domain.space.onb:
+        tb = t_map.apply(b)
+        if hs_norm(t_map.apply(adjoint(b)) - adjoint(tb)) > t.cutoff(hs_norm(tb)):
+            return False
+    return True
+
+
+def check_automorphism_pairwise(auto: Automorphism) -> None:
+    """Involution and *-check per basis element of ``Z + Z^2``, then
+    multiplicativity per pair, each within ``eps``; raises RuntimeError."""
+    t = auto.algebra.tol
+    act = auto.apply
+    for b in auto.algebra.space.onb:
+        tb = act(b)
+        if hs_norm(act(tb) - b) > t.cutoff(1.0):
+            raise RuntimeError("flip automorphism failed the involution check")
+        if hs_norm(act(adjoint(b)) - adjoint(tb)) > t.cutoff(1.0):
+            raise RuntimeError("flip automorphism failed the *-check")
+    for a in auto.algebra.space.onb:
+        for b in auto.algebra.space.onb:
+            if hs_norm(act(a @ b) - act(a) @ act(b)) > t.cutoff(1.0):
+                raise RuntimeError("flip automorphism failed multiplicativity")
 
 
 def oracle_host(kind: str, dims: list[int], rng: np.random.Generator) -> list[np.ndarray]:

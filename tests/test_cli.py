@@ -13,7 +13,9 @@ import pytest
 
 import trokit
 from trokit import LinearMap, Tolerance, is_psd
+from trokit import morphisms as morphisms_module
 from trokit import tripotents as tripotents_module
+from trokit import tro as tro_module
 from trokit.cli import ParseError, format_matrix, main, parse_document
 from trokit.linalg import EPS_FLOOR
 
@@ -341,6 +343,20 @@ def test_checkmap_identity_on_a_rank_2_corner_passes(capsys, tmp_path):
     assert code == 0
 
 
+def test_checkmap_runs_one_morphism_pass(capsys, monkeypatch):
+    # the induced map and the center are each derived once: the domain's
+    # center when it is certified, and no second one for the square
+    calls = {"_induced": 0, "_center_of": 0}
+    for module, name in ((morphisms_module, "_induced"), (tro_module, "_center_of")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    code, _ = run(capsys, "checkmap", fixture("identity.map"))
+    assert code == 0
+    assert calls == {"_induced": 1, "_center_of": 1}
+
+
 def test_reports_are_byte_identical(capsys):
     outputs = []
     for _ in range(2):
@@ -445,6 +461,23 @@ def test_module_entry_point_runs():
     assert "trokit-report classify" in proc.stdout
 
 
+def run_within_1_gb(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI as a child process on one BLAS thread under a 1 GB
+    ``RLIMIT_AS``; it must not die with a traceback."""
+    src = str(Path(trokit.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = 2 ** 30
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "trokit", *argv],
+                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    assert "Traceback" not in proc.stderr
+    return proc
+
+
 def test_classify_of_a_random_m10_runs_within_1_gb(tmp_path):
     # a cap corner: dim 10 from two generic generators, whose closure
     # reaches all of M_10 through rounds of growing spans
@@ -456,16 +489,25 @@ def test_classify_of_a_random_m10_runs_within_1_gb(tmp_path):
                                    for row in g.tolist()]
     doc = tmp_path / "m10.tro"
     doc.write_text("\n".join(lines) + "\n")
-    src = str(Path(trokit.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    limit = 2 ** 30
-
-    def cap() -> None:
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    proc = subprocess.run([sys.executable, "-m", "trokit", "classify", str(doc)],
-                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
-    assert "Traceback" not in proc.stderr
+    proc = run_within_1_gb("classify", str(doc))
     assert proc.returncode == 0, proc.stderr
     assert report_value(proc.stdout, "center-dim") == "1"
+
+
+def test_checkmap_of_the_identity_on_m12_runs_within_1_gb(tmp_path):
+    # a cap corner: all 144 matrix units as generators and as pairs,
+    # so the morphism pass meets the 20736 products of Z^2 with Z
+    def unit(i: int, j: int) -> list[str]:
+        return [" ".join("[1,0]" if (r, c) == (i, j) else "[0,0]" for c in range(12))
+                for r in range(12)]
+
+    units = [unit(i, j) for i in range(12) for j in range(12)]
+    lines = ["kind: map", "dim: 12", "codim: 12"]
+    lines += [row for u in units for row in ["generator:"] + u]
+    lines += [row for u in units for row in ["pair:"] + u + ["maps-to:"] + u]
+    doc = tmp_path / "m12_identity.map"
+    doc.write_text("\n".join(lines) + "\n")
+    proc = run_within_1_gb("--max-level", "4", "checkmap", str(doc))
+    assert proc.returncode == 0, proc.stderr
+    assert report_value(proc.stdout, "domain-dim") == "144"
+    assert report_value(proc.stdout, "result") == "pass"

@@ -129,6 +129,27 @@ def test_zero_subspace_contains_zero():
     assert not z.contains(np.eye(2))
 
 
+def test_contains_all_decides_each_row_as_contains(rng):
+    # rows m = s + r n with n a unit direction off the span, r at 0.5x and
+    # 2x the cutoff eps * max(1, |m|) that contains applies per matrix
+    t = Tolerance(1e-6)
+    s = orthonormalize([random_matrix(rng, 3) for _ in range(4)])
+    rows = []
+    for scale in (1e-3, 1.0, 1e3):
+        for factor in (0.5, 2.0):
+            inside = s.project(random_matrix(rng, 3))
+            off = random_matrix(rng, 3)
+            off -= s.project(off)
+            rows.append(scale * inside / hs_norm(inside)
+                        + factor * t.cutoff(scale) * off / hs_norm(off))
+    verdicts = [s.contains(m, t) for m in rows]
+    assert verdicts == [True, False] * 3
+    for i in range(len(rows)):
+        assert s.contains_all([rows[i]], t) == verdicts[i]
+        assert s.contains_all(np.array(rows[:i + 1]), t) == all(verdicts[:i + 1])
+    assert s.contains_all((m for m in rows[::2]), t)
+
+
 def test_projection_is_idempotent(rng):
     s = orthonormalize([random_matrix(rng, 3) for _ in range(3)])
     m = random_matrix(rng, 3)

@@ -28,10 +28,12 @@ from trokit import (
     ternary_product,
 )
 
+from trokit import morphisms as morphisms_module
 from trokit.morphisms import _exceeds
 
 from hosts import corner_tro, diagonal_tro, full_matrix_tro, random_projection
-from oracles import oracle_host, triple_chunks
+from oracles import check_automorphism_pairwise, is_selfadjoint_map_loop, oracle_host, \
+    triple_chunks
 
 
 def test_identity_is_ternary_star_morphism():
@@ -211,8 +213,22 @@ def test_compress_corner(rng):
 def test_compress_rejects_non_idempotent():
     m2 = full_matrix_tro(2)
     t = LinearMap.from_function(lambda m: 0.5 * m, m2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not idempotent"):
         compress(t)
+
+
+def test_compress_names_the_first_fault_idempotency_first():
+    # on the diagonal D_2: m -> m_00 (E11 + E12) is idempotent but leaves
+    # D_2; m -> m/2 + tr(m) E12 fails both checks on the first basis
+    # element, and idempotency is named, as the per-element loop did
+    d2 = diagonal_tro(2)
+    e11, e12 = matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)
+    leaves = LinearMap.from_function(lambda m: m[0, 0] * (e11 + e12), d2, 2)
+    with pytest.raises(ValueError, match="does not leave the domain space invariant"):
+        compress(leaves)
+    both = LinearMap.from_function(lambda m: 0.5 * m + np.trace(m) * e12, d2, 2)
+    with pytest.raises(ValueError, match="not idempotent"):
+        compress(both)
 
 
 def test_compress_rejects_non_positive():
@@ -246,6 +262,23 @@ def test_period_two_automorphism_on_corner():
         for b in auto.algebra.space.basis():
             assert np.allclose(auto.apply(a @ b), auto.apply(a) @ auto.apply(b),
                                atol=1e-8)
+
+
+# a theta that is not an involution (i theta), not multiplicative
+# (-theta), or not *-preserving (x -> s x s for the non-unitary s = s^-1)
+S = np.array([[1.0, 1.0], [0.0, -1.0]])
+
+
+@pytest.mark.parametrize("wrong, fault", [
+    (lambda m: 1j * m, "the involution check"),
+    (lambda m: np.kron(S, S.T).astype(complex), "the \\*-check"),
+    (lambda m: -m, "multiplicativity")])
+def test_period_two_automorphism_refuses_a_wrong_theta(monkeypatch, wrong, fault):
+    real = morphisms_module.Automorphism
+    monkeypatch.setattr(morphisms_module, "Automorphism",
+                        lambda matrix, **kw: real(matrix=wrong(matrix), **kw))
+    with pytest.raises(RuntimeError, match="flip automorphism failed " + fault):
+        period_two_automorphism(corner_tro(2))
 
 
 def test_period_two_automorphism_needs_trivial_overlap():
@@ -296,7 +329,7 @@ def _first_block(u: np.ndarray, dims: list[int]) -> np.ndarray:
 # triple b_i b_j* b_l against eps * max(1, |lhs|, |rhs|)
 
 def _is_ternary_star_morphism_loop(t_map: LinearMap) -> bool:
-    if not is_selfadjoint_map(t_map):
+    if not is_selfadjoint_map_loop(t_map):
         return False
     basis = t_map.domain.space.onb
     dc = t_map.codomain_dim
@@ -329,6 +362,11 @@ def test_morphism_check_agrees_with_the_triple_loop(kind, dims, conjugate, scale
     assert verdicts == [_is_ternary_star_morphism_loop(m) for m in maps]
     assert verdicts[:4] == [True, True, True, z.dim == 0]
     assert verdicts[6:] == [True, z.dim == 0]
+    # an anti-selfadjoint tilt i e probes the stacked *-check itself
+    maps += [LinearMap(z, d, conj.matrix + 1j * factor * z.tol.eps * e) for factor in (0.1, 10.0)]
+    selfadjoint = [is_selfadjoint_map(m) for m in maps]
+    assert selfadjoint == [is_selfadjoint_map_loop(m) for m in maps]
+    assert selfadjoint[8]
 
 
 @settings(max_examples=20, deadline=None)
@@ -341,6 +379,18 @@ def test_induced_hom_derives_the_square_as_certify_does(kind, dims, conjugate, s
     assert ((derived.dim, derived.square.dim, derived.alg_part.dim, derived.center.dim)
             == (certified.dim, certified.square.dim, certified.alg_part.dim,
                 certified.center.dim))
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims=st.integers(2, 5).flatmap(lambda d: st.integers(1, d - 1).map(lambda r: [r, d - r])),
+       conjugate=st.integers(0, 2), scale=st.floats(-4, 4), tol=st.floats(-12, -3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_period_two_automorphism_passes_the_pairwise_checks(dims, conjugate, scale, tol, seed):
+    # corners e M_d (1-e) + (1-e) M_d e meet their square trivially
+    z = _oracle_tro("corner", dims, conjugate, scale, tol, np.random.default_rng(seed))[0]
+    auto = period_two_automorphism(z)
+    assert auto.algebra.dim == z.square.dim + z.dim
+    check_automorphism_pairwise(auto)
 
 
 # the k^3 check that the *-check in compress replaced: the involution law
