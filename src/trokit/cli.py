@@ -48,7 +48,16 @@ from .commutative import (
 from .linalg import Tolerance, adjoint, as_matrix
 from .morphisms import LinearMap, _morphism_pass, cp_refutation
 from .ordering import classify
-from .tripotents import BlockCapError, enumerate_central_tripotents, leq, leq_table, meet
+from .tripotents import (
+    BlockCapError,
+    Tripotent,
+    _certified_atoms,
+    _sign_chunks,
+    _sign_stack,
+    leq,
+    leq_table,
+    meet,
+)
 from .tro import Tro, TroError, closure_from_generators
 
 __all__ = ["main", "InputDocument", "ParseError", "parse_document", "format_matrix"]
@@ -197,17 +206,34 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+class _Pairs(dict):
+    """The ``[re,im]`` text of each pair of entry parts, formatted the
+    first time the pair is met."""
+
+    def __missing__(self, key: tuple[float, float]) -> str:
+        text = self[key] = f"[{key[0]:.12g},{key[1]:.12g}]"
+        return text
+
+
+def _format_stack(ms: np.ndarray, tol: Tolerance | float | None = None) -> list[str]:
+    """The rows of every matrix of an (n, d, d) stack, ``n * d`` lines as
+    :func:`format_matrix` prints them.  Each matrix has its own cutoff;
+    each distinct pair of parts is formatted once."""
+    n, d = len(ms), ms.shape[-1]
+    cut = Tolerance.of(tol).eps * np.fmax(1.0, np.abs(ms).max(axis=(1, 2), initial=0.0))
+    cut = cut[:, None, None]
+    # Python floats format faster than numpy scalars; + 0.0 as in _fmt
+    re = (np.where(np.abs(ms.real) <= cut, 0.0, ms.real) + 0.0).reshape(n * d, d).tolist()
+    im = (np.where(np.abs(ms.imag) <= cut, 0.0, ms.imag) + 0.0).reshape(n * d, d).tolist()
+    text = _Pairs().__getitem__
+    return [" ".join(map(text, zip(ra, ia))) for ra, ia in zip(re, im)]
+
+
 def format_matrix(m: np.ndarray, tol: Tolerance | float | None = None) -> list[str]:
     """Rows of ``[re,im]`` pairs.  A real or imaginary part at or below
     ``tol.cutoff`` of the largest entry modulus is rounding noise and
     prints as 0."""
-    m = as_matrix(m)
-    cut = Tolerance.of(tol).cutoff(float(np.abs(m).max(initial=0.0)))
-    # Python floats format faster than numpy scalars; + 0.0 as in _fmt
-    re = (np.where(np.abs(m.real) <= cut, 0.0, m.real) + 0.0).tolist()
-    im = (np.where(np.abs(m.imag) <= cut, 0.0, m.imag) + 0.0).tolist()
-    return [" ".join(f"[{a:.12g},{b:.12g}]" for a, b in zip(ra, ia))
-            for ra, ia in zip(re, im)]
+    return _format_stack(as_matrix(m)[None], tol)
 
 
 class Report:
@@ -233,9 +259,15 @@ class Report:
         self.lines.append(f"matrix {label} dim {m.shape[0]}")
         self.lines.extend(format_matrix(m, self.tol))
 
+    def flush(self) -> None:
+        """Write the lines so far to stdout, so a long report streams."""
+        if self.lines:
+            sys.stdout.write("\n".join(self.lines) + "\n")
+            self.lines = []
+
     def emit(self) -> int:
         self.lines.append(f"result {'fail' if self.failed else 'pass'}")
-        sys.stdout.write("\n".join(self.lines) + "\n")
+        self.flush()
         return 1 if self.failed else 0
 
 
@@ -286,24 +318,32 @@ def cmd_classify(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
 def cmd_cones(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
               max_blocks: int) -> int:
     z = _build_tro(doc, tol)
+    atoms = _certified_atoms(z, max_blocks)
+    signs = atoms.sorted_signs()
     rep = Report("cones", digest, tol, seed)
-    trips = enumerate_central_tripotents(z, max_blocks=max_blocks)
-    rep.line(f"count {len(trips)}")
-    for i, tp in enumerate(trips):
-        flag = "true" if tp.has_full_support else "false"
-        rep.line(f"tripotent {i} maximal {flag}")
-        rep.lines.extend(format_matrix(tp.u, tol))
+    rep.line(f"count {len(signs)}")
+    # the atoms are certified, so nothing below refuses: print as it goes
+    d, i = z.ambient_dim, 0
+    for chunk in _sign_chunks(z, signs):
+        rows = _format_stack(_sign_stack(z, atoms, chunk), tol)
+        # the one zero tripotent of a trivial center is not maximal
+        for k, full in enumerate((chunk.all(axis=1) & bool(atoms.count)).tolist()):
+            rep.line(f"tripotent {i} maximal {'true' if full else 'false'}")
+            rep.lines.extend(rows[k * d:(k + 1) * d])
+            i += 1
+        rep.flush()
     return rep.emit()
 
 
 def cmd_meet(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
              max_blocks: int, iu: int, iv: int) -> int:
     z = _build_tro(doc, tol)
+    atoms = _certified_atoms(z, max_blocks)
+    signs = atoms.sorted_signs()
+    if not (0 <= iu < len(signs) and 0 <= iv < len(signs)):
+        raise ParseError(0, f"indices must lie in [0, {len(signs) - 1}]")
     rep = Report("meet", digest, tol, seed)
-    trips = enumerate_central_tripotents(z, max_blocks=max_blocks)
-    if not (0 <= iu < len(trips) and 0 <= iv < len(trips)):
-        raise ParseError(0, f"indices must lie in [0, {len(trips) - 1}]")
-    u, v = trips[iu], trips[iv]
+    u, v = (Tripotent(x, True) for x in _sign_stack(z, atoms, signs[[iu, iv]]))
     w = meet(u, v, host=z)
     rep.line(f"index-u {iu}")
     rep.line(f"index-v {iv}")
@@ -311,8 +351,12 @@ def cmd_meet(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     rep.check("meet-is-central-tripotent", w.is_central)
     rep.check("meet-leq-u", leq(w, u, tol))
     rep.check("meet-leq-v", leq(w, v, tol))
-    below_u, below_v, below_w = leq_table(trips, (u, v, w), tol)
-    rep.check("meet-is-greatest-lower-bound", bool(np.all(below_w | ~(below_u & below_v))))
+    # checked against every tripotent's matrix, not its sign vector, so
+    # the check does not assume the meet formula it tests
+    tables = (leq_table(_sign_stack(z, atoms, chunk), (u, v, w), tol)
+              for chunk in _sign_chunks(z, signs))
+    rep.check("meet-is-greatest-lower-bound",
+              all(bool(np.all(bw | ~(bu & bv))) for bu, bv, bw in tables))
     return rep.emit()
 
 

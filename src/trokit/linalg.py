@@ -49,11 +49,13 @@ __all__ = [
 # 2e-15, and right on all from 3e-15 up
 EPS_FLOOR = 64 * float(np.finfo(float).eps)
 
-# stacked checks (cone membership, the tripotent order) take their stacks
-# in chunks of at most this many complex entries per product, so their
-# temporaries stay near 30 KB each: checking 64 samples of 8 x 8 matrices
-# against two cones in one chunk raised a process's peak resident memory
-# by about 1 MB
+# stacked cone membership takes its stacks in chunks of at most this many
+# complex entries per product, so its temporaries stay near 30 KB each:
+# checking 64 samples of 8 x 8 matrices against two cones in one chunk
+# raised a process's peak resident memory by about 1 MB.  The tripotent
+# order chunks by bytes instead (tripotents._CHUNK_BYTES): at this rule
+# it took 35430 chunks, each with its own eigvalsh, for the 177147
+# tripotents of D_11
 _STACK_CHUNK = 2048
 
 

@@ -23,8 +23,9 @@ joint block count is capped to keep enumeration at desk scale.
 The sign vectors are ordered by the rounded entries of their matrices
 without building those matrices: one stable ``lexsort`` over the entry
 columns where some block projector is nonzero, each computed as the
-matrix sum computes it.  Only the sorted vectors are then built, as one
-stacked sum.
+matrix sum computes it.  Only the sorted vectors are then built, as
+stacked sums; the CLI builds, checks and prints them a chunk of rows at
+a time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    _STACK_CHUNK,
     Subspace,
     Tolerance,
     adjoint,
@@ -65,6 +65,13 @@ __all__ = [
 # fixed seed for the generic combination used in the joint diagonalization;
 # reports must be reproducible run to run
 _BLOCK_SEED = 0x5EED
+
+# stacks of tripotents are built, checked and printed in chunks of about
+# this many bytes of matrices, so temporaries stay a few MB whatever the
+# count of sign vectors.  On one thread of a 2-core Xeon VM, CLI meet on
+# D_12 took 5.3 s with chunks of 0.5 to 2 MB and 7.5 s with 4 MB or more,
+# and CLI cones on D_10 peaked at 63 MB resident with 1 MB and 84 with 4
+_CHUNK_BYTES = 1 << 20
 
 
 class BlockCapError(RuntimeError):
@@ -126,27 +133,39 @@ def leq(u: np.ndarray | Tripotent, v: np.ndarray | Tripotent,
     return hs_norm(a @ b @ a - a) <= t.eps * scale
 
 
-def leq_table(us: Sequence[np.ndarray | Tripotent], vs: Sequence[np.ndarray | Tripotent],
+def _matrices(xs: Sequence[np.ndarray | Tripotent] | np.ndarray) -> np.ndarray:
+    """An (n, d, d) array as it is, or the matrices of a sequence stacked."""
+    if isinstance(xs, np.ndarray) and xs.ndim == 3:
+        return np.asarray(xs, dtype=complex)
+    return np.stack([x.u if isinstance(x, Tripotent) else as_matrix(x) for x in xs])
+
+
+def _op_scales(a: np.ndarray) -> np.ndarray:
+    """``max(1, op_norm)`` of each matrix of an (n, d, d) stack, from one
+    ``eigvalsh``."""
+    top = np.linalg.eigvalsh(adjoint(a) @ a)[:, -1]
+    return np.fmax(1.0, np.sqrt(np.maximum(top, 0.0)))
+
+
+def leq_table(us: Sequence[np.ndarray | Tripotent] | np.ndarray,
+              vs: Sequence[np.ndarray | Tripotent],
               tol: Tolerance | float | None = None) -> np.ndarray:
     """:func:`leq` for every pair, as a (len(vs), len(us)) boolean table
     whose entry (j, i) is ``leq(us[i], vs[j])``, with leq's bound on each
-    pair.  The products ``u v u`` are stacked, and one ``eigvalsh`` gives
-    the operator norms of a chunk of ``us`` (at most ``_STACK_CHUNK``
-    entries a product) together with those of ``vs``; ``vs`` is not
+    pair.  ``us`` may be an (n, d, d) array.  The products ``u v u`` are
+    stacked for a chunk of ``us`` of about ``_CHUNK_BYTES`` a product, and
+    one ``eigvalsh`` per chunk gives its operator norms; ``vs`` is not
     empty and its matrices are at least 1 x 1."""
     t = Tolerance.of(tol)
-    b = np.stack([v.u if isinstance(v, Tripotent) else as_matrix(v) for v in vs])
+    b = _matrices(vs)
+    scale_b = _op_scales(b)
     out = np.empty((len(b), len(us)), dtype=bool)
-    step = max(1, _STACK_CHUNK // (len(b) * b.shape[-1] ** 2))
+    step = max(1, _CHUNK_BYTES // (len(b) * b[0].nbytes))
     for i in range(0, len(us), step):
-        a = np.stack([u.u if isinstance(u, Tripotent) else as_matrix(u)
-                      for u in us[i:i + step]])
+        a = _matrices(us[i:i + step])
         n, k = len(a), a.shape[-1] ** 2
-        ab = np.concatenate([a, b])
-        top = np.linalg.eigvalsh(adjoint(ab) @ ab)[:, -1]
-        norms = np.fmax(1.0, np.sqrt(np.maximum(top, 0.0)))
         dev = _row_norms((a @ b[:, None] @ a - a).reshape(len(b) * n, k)).reshape(len(b), n)
-        out[:, i:i + n] = dev <= t.eps * (norms[:n] ** 2 * norms[n:, None])
+        out[:, i:i + n] = dev <= t.eps * (_op_scales(a) ** 2 * scale_b[:, None])
     return out
 
 
@@ -245,13 +264,24 @@ class CenterAtoms:
         (n, count) sign matrix, as an (n, d, d) stack.  Each sum starts
         from zero and adds the blocks in order; ``alpha`` lies in
         {-1, 0, 1}, so every product is exact and each row comes out
-        bitwise the same, zero signs included, whatever the other rows."""
+        bitwise the same, zero signs included, whatever the other rows.
+
+        A block is added only at the entries where its projector is
+        nonzero: elsewhere the product is a signed zero, and adding one
+        leaves every entry as it is, since a sum that starts from +0
+        never holds -0.  Rows are taken ``_CHUNK_BYTES`` of matrices at a
+        time, so no temporary is as large as the stack."""
         alpha = np.reshape(signs, (-1, self.count)) @ self.layout.T + 0.0
         d = self.projectors[0].shape[0]
-        out = np.zeros((len(alpha), d, d), dtype=complex)
-        for a, p in zip(alpha.T, self.projectors):
-            out += a[:, None, None] * p
-        return out
+        flat = [p.ravel() for p in self.projectors]
+        live = [np.flatnonzero(p) for p in flat]
+        out = np.zeros((len(alpha), d * d), dtype=complex)
+        step = max(1, _CHUNK_BYTES // (16 * d * d))
+        for s in range(0, len(out), step):
+            rows = out[s:s + step]
+            for a, p, j in zip(alpha[s:s + step].T, flat, live):
+                rows[:, j] += a[:, None] * p[j]
+        return out.reshape(-1, d, d)
 
     def matrix(self, eps: tuple[int, ...] | np.ndarray) -> np.ndarray:
         """The block-order sum ``sum_b alpha_b P_b`` for a sign vector."""
@@ -261,10 +291,11 @@ class CenterAtoms:
         return list(self.stack(np.eye(self.count, dtype=int))) if self.count else []
 
     def sorted_signs(self, maximal: bool = False) -> np.ndarray:
-        """The sign vectors over at least one atom, one row each and only
-        the full-support ones when ``maximal``, in the order of
+        """The sign vectors over the atoms, one row each and only the
+        full-support ones when ``maximal``, in the order of
         :func:`_sort_key` of their matrices; ties keep the order of
-        ``itertools.product``.
+        ``itertools.product``.  Without atoms, the one empty vector (the
+        zero tripotent) and no full-support one.
 
         That key is the real parts and then the imaginary parts of the
         entries, rounded.  A column in which every projector is zero is
@@ -276,6 +307,8 @@ class CenterAtoms:
         sort by the key tuples."""
         vals = np.array((-1, 1) if maximal else (-1, 0, 1), dtype=np.int8)
         k, c = len(vals), self.count
+        if c == 0:
+            return np.zeros((0 if maximal else 1, 0), dtype=np.int8)
         index = np.arange(k ** c)
         codes = np.empty((len(index), c), dtype=np.int8)
         for i in range(c):  # the last position varies fastest
@@ -301,18 +334,31 @@ def atoms_certificate(atoms: list[np.ndarray], z: Tro) -> bool:
     ``-u`` has signs ``-eps``, ``(u v u + v u v) / 2`` has ``eps_i`` where
     ``eps_i = delta_i`` and 0 elsewhere, and u is maximal iff ``eps`` has
     full support.
+
+    The checks run on one stack: one ``eigvalsh`` gives the operator
+    norms, and one pass of row norms covers ``a``, ``a - a*``,
+    ``a^3 - a``, the residual of ``a`` against the center and the
+    products ``a_i a_j`` for ``i < j``.  The cutoffs are those of
+    :func:`is_hermitian`, :func:`is_selfadjoint_tripotent` and
+    ``Subspace.contains``, and ``eps * max(1, |a_i| |a_j|)`` for a
+    product.
     """
     t = z.tol
-    if len(atoms) != z.center.dim:
+    c = len(atoms)
+    if c != z.center.dim:
         return False
-    for a in atoms:
-        if not (is_selfadjoint_tripotent(a, t) and z.center.contains(a, t)):
-            return False
-    for i, a in enumerate(atoms):
-        for b in atoms[i + 1:]:
-            if hs_norm(a @ b) > t.cutoff(hs_norm(a) * hs_norm(b)):
-                return False
-    return True
+    if c == 0:
+        return True
+    a = np.asarray(atoms, dtype=complex)
+    k = a[0].size
+    i, j = np.triu_indices(c, 1)
+    rows = [a, a - adjoint(a), a @ a @ a - a, a[i] @ a[j]]
+    norms = _row_norms(np.concatenate([x.reshape(len(x), k) for x in rows]
+                                      + [z.center.residual_rows(a.reshape(c, k))]))
+    hs, herm, cube, prods, resid = np.split(norms, [c, 2 * c, 3 * c, 3 * c + len(i)])
+    cut = t.eps * np.fmax(1.0, hs)
+    return bool((herm <= cut).all() and (cube <= t.eps * _op_scales(a) ** 3).all()
+                and (resid <= cut).all() and (prods <= t.eps * np.fmax(1.0, hs[i] * hs[j])).all())
 
 
 def _uncertifiable(z: Tro) -> TroError:
@@ -327,6 +373,11 @@ def center_atoms(z: Tro, max_blocks: int = 12) -> CenterAtoms:
     to the same atom iff the values of the center family on them agree
     up to one sign.  Blocks where the family vanishes belong to no atom.
     Raises :class:`TroError` unless they form ``dim(center)`` atoms.
+
+    The family is the real and imaginary parts of the center's
+    orthonormal basis, so its values on a block are those of
+    ``trace(Q* c Q) / rank`` for each basis element c, and
+    :func:`central_blocks` alone forms it.
     """
     if z.center.dim == 0:
         return CenterAtoms((), np.zeros((0, 0), dtype=int), True)
@@ -335,9 +386,10 @@ def center_atoms(z: Tro, max_blocks: int = 12) -> CenterAtoms:
     if m > max_blocks:
         raise BlockCapError(
             f"center splits into {m} joint eigenblocks; cap is {max_blocks}")
-    fam = _selfadjoint_family(z.center)
-    patterns = np.array([[np.real(np.trace(q.conj().T @ h @ q)) / q.shape[1] for h in fam]
-                         for q in blocks])
+    onb = z.center.onb
+    vals = np.array([np.trace(q.conj().T @ onb @ q, axis1=1, axis2=2) / q.shape[1]
+                     for q in blocks])
+    patterns = np.concatenate([vals.real, vals.imag], axis=1)
     thr = np.sqrt(z.tol.eps)
     reps: list[np.ndarray] = []
     layout = np.zeros((m, m), dtype=int)
@@ -358,8 +410,8 @@ def center_atoms(z: Tro, max_blocks: int = 12) -> CenterAtoms:
         raise _uncertifiable(z)
     layout = layout[:, :len(reps)]
     projectors = tuple(q @ q.conj().T for q in blocks)
-    unchecked = CenterAtoms(projectors, layout, False)
-    return CenterAtoms(projectors, layout, atoms_certificate(unchecked.atoms(), z))
+    atoms = CenterAtoms(projectors, layout, False).stack(np.eye(len(reps)))
+    return CenterAtoms(projectors, layout, atoms_certificate(atoms, z))
 
 
 def _certified_atoms(z: Tro, max_blocks: int) -> CenterAtoms:
@@ -375,12 +427,24 @@ def central_tripotents(z: Tro, atoms: CenterAtoms,
     only the full-support ones when ``maximal``.  Sorted by rounded
     matrix entries.  None is certified on its own: ``atoms.certified``
     proves them all central tripotents (see :func:`atoms_certificate`)."""
-    if atoms.count == 0:
-        zero = Tripotent(np.zeros((z.ambient_dim,) * 2, dtype=complex), True, ())
-        return [] if maximal else [zero]
     signs = atoms.sorted_signs(maximal)
     # one stack; each tripotent holds a view into it
-    return [Tripotent(u, True, tuple(eps)) for u, eps in zip(atoms.stack(signs), signs.tolist())]
+    return [Tripotent(u, True, tuple(eps))
+            for u, eps in zip(_sign_stack(z, atoms, signs), signs.tolist())]
+
+
+def _sign_stack(z: Tro, atoms: CenterAtoms, signs: np.ndarray) -> np.ndarray:
+    """``atoms.stack(signs)``, and zero matrices over a trivial center."""
+    if atoms.count:
+        return atoms.stack(signs)
+    return np.zeros((len(signs), z.ambient_dim, z.ambient_dim), dtype=complex)
+
+
+def _sign_chunks(z: Tro, signs: np.ndarray) -> list[np.ndarray]:
+    """Consecutive row slices of a sign matrix, each of whose stacks
+    takes about ``_CHUNK_BYTES``."""
+    step = max(1, _CHUNK_BYTES // (16 * z.ambient_dim ** 2))
+    return [signs[s:s + step] for s in range(0, len(signs), step)]
 
 
 def enumerate_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:

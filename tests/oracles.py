@@ -1,7 +1,7 @@
 """References for the oracle tests: the ``k^3`` basis triples that the
 library's certificates through the square replaced, the per-element
-loops that its stacked map certificates replaced, and the random hosts
-those certificates are compared on."""
+loops that its stacked map and atom certificates replaced, and the
+random hosts those certificates are compared on."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from typing import Iterator
 
 import numpy as np
 
-from trokit import Automorphism, LinearMap, adjoint, hs_norm, matrix_unit
+from trokit import Automorphism, LinearMap, Tro, adjoint, hs_norm, is_selfadjoint_tripotent, \
+    matrix_unit
 from trokit.tro import _products
 
 from hosts import random_projection
@@ -50,6 +51,23 @@ def check_automorphism_pairwise(auto: Automorphism) -> None:
         for b in auto.algebra.space.onb:
             if hs_norm(act(a @ b) - act(a) @ act(b)) > t.cutoff(1.0):
                 raise RuntimeError("flip automorphism failed multiplicativity")
+
+
+def atoms_certificate_loop(atoms: list[np.ndarray], z: Tro) -> bool:
+    """The atom certificate per atom and per pair: dim(center) atoms,
+    each a selfadjoint tripotent in the center, and ``|a b|`` within
+    ``eps * max(1, |a| |b|)`` for every pair."""
+    t = z.tol
+    if len(atoms) != z.center.dim:
+        return False
+    for a in atoms:
+        if not (is_selfadjoint_tripotent(a, t) and z.center.contains(a, t)):
+            return False
+    for i, a in enumerate(atoms):
+        for b in atoms[i + 1:]:
+            if hs_norm(a @ b) > t.cutoff(hs_norm(a) * hs_norm(b)):
+                return False
+    return True
 
 
 def oracle_host(kind: str, dims: list[int], rng: np.random.Generator) -> list[np.ndarray]:

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,14 @@ from trokit import LinearMap, Tolerance, is_psd
 from trokit import morphisms as morphisms_module
 from trokit import tripotents as tripotents_module
 from trokit import tro as tro_module
-from trokit.cli import ParseError, format_matrix, main, parse_document
+from trokit.cli import ParseError, _format_stack, format_matrix, main, parse_document
 from trokit.linalg import EPS_FLOOR
 
 from hosts import corner_tro, full_matrix_tro, random_projection
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES.parent / "golden"
+GOLDEN_INPUT = GOLDEN / "inputs"
 
 
 def fixture(name: str) -> str:
@@ -179,16 +182,21 @@ def test_classify_corner_at_loose_tol_has_no_algebra_part(capsys):
     assert report_value(out, "result") == "pass"
 
 
+def diagonal_document(tmp_path: Path, n: int) -> str:
+    """D_n from its n diagonal units, written as a document under tmp_path."""
+    rows = []
+    for i in range(n):
+        rows.append("generator:")
+        rows.extend(" ".join("[1,0]" if r == c == i else "[0,0]" for c in range(n))
+                    for r in range(n))
+    path = tmp_path / f"d{n}.tro"
+    path.write_text(f"kind: tro\ndim: {n}\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
 def test_classify_d6_completes(capsys, tmp_path):
     # the lattice checks are certified from 6 atoms, not from 729^2 matrix meets
-    rows = []
-    for i in range(6):
-        rows.append("generator:")
-        rows.extend(" ".join("[1,0]" if r == c == i else "[0,0]" for c in range(6))
-                    for r in range(6))
-    path = tmp_path / "d6.tro"
-    path.write_text("kind: tro\ndim: 6\n" + "\n".join(rows) + "\n")
-    code, out = run(capsys, "classify", str(path))
+    code, out = run(capsys, "classify", diagonal_document(tmp_path, 6))
     assert code == 0
     assert report_value(out, "natural-cone-count") == "729"
     assert report_value(out, "maximal-cone-count") == "64"
@@ -235,9 +243,70 @@ def test_meet_of_equal_indices_is_identity(capsys):
 
 
 def test_meet_index_out_of_range(capsys):
-    code = main(["meet", fixture("d2.tro"), "--u", "9", "--v", "0"])
-    capsys.readouterr()
-    assert code == 2
+    for u in ("9", "-1"):
+        code = main(["meet", fixture("d2.tro"), "--u", u, "--v", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: indices must lie in [0, 8]\n"
+
+
+def test_cones_and_meet_build_no_tripotent_list(capsys, monkeypatch):
+    # both commands work from the sorted sign matrix, a chunk at a time
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tripotent list was built")
+
+    monkeypatch.setattr(tripotents_module, "enumerate_central_tripotents", refuse)
+    monkeypatch.setattr(tripotents_module, "central_tripotents", refuse)
+    unitary = str(GOLDEN_INPUT / "block_211_unitary.tro")
+    for args, expected in ((["cones", fixture("d3.tro")], "d3.cones"),
+                           (["meet", fixture("d3.tro"), "--u", "9", "--v", "18"], "d3.meet-9-18"),
+                           (["cones", unitary], "block_211_unitary.cones"),
+                           (["meet", fixture("empty.tro"), "--u", "0", "--v", "0"], "empty.meet-0-0")):
+        assert run(capsys, *args) == (0, (GOLDEN / f"{expected}.out").read_text())
+
+
+def test_cones_and_meet_in_chunks_print_the_same_reports(capsys, monkeypatch):
+    # five tripotents a chunk, so the last of the 243 chunks is short
+    monkeypatch.setattr(tripotents_module, "_CHUNK_BYTES", 5 * 16 * 6 * 6)
+    path = str(GOLDEN_INPUT / "block_11211.tro")
+    for args, expected in ((["cones", path], "cones"),
+                           (["meet", path, "--u", "0", "--v", "242"], "meet-0-242")):
+        assert run(capsys, *args) == (0, (GOLDEN / f"block_11211.{expected}.out").read_text())
+
+
+def test_meet_of_d10_stays_within_32_mb(capsys, tmp_path):
+    path = diagonal_document(tmp_path, 10)
+    tracemalloc.start()
+    try:
+        code = main(["meet", path, "--u", "0", "--v", "59048"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "check meet-is-greatest-lower-bound pass" in out
+    assert peak < 32 * 2 ** 20
+
+
+def test_stack_formatter_matches_format_matrix_per_matrix():
+    # each matrix has its own cutoff: parts at 0.5x it print 0, parts at
+    # 2x it print, whatever the scale of the other matrices in the stack
+    rng = np.random.default_rng(3)
+    for tol in (Tolerance(1e-9), Tolerance(1e-3)):
+        scales = 10.0 ** rng.uniform(-4, 4, size=12)
+        ms = np.empty((len(scales), 4, 4), dtype=complex)
+        for m, scale in zip(ms, scales):
+            cut = tol.cutoff(scale)
+            parts = rng.choice([0.5, -0.5, 2.0, -2.0], size=(2, 4, 4)) * cut
+            m[:] = parts[0] + 1j * parts[1]
+            m[0, 0] = scale * rng.choice([1, -1, 1j, -1j])
+            m[1, 1] = 0.5 * cut + 2j * cut
+        rows = _format_stack(ms, tol)
+        assert rows == [row for m in ms for row in format_matrix(m, tol)]
+        assert rows == [row for m in ms for row in _format_loop(m, tol)]
+        for k, scale in enumerate(scales):
+            assert rows[4 * k + 1].split()[1] == f"[0,{2 * tol.cutoff(scale):.12g}]"
 
 
 def test_cones_command_lists_all(capsys):
@@ -409,7 +478,8 @@ def test_uncertified_center_is_refused_with_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(tripotents_module, "atoms_certificate", lambda atoms, z: False)
     assert main(["cones", fixture("d2.tro")]) == 2
     assert main(["meet", fixture("d2.tro"), "--u", "0", "--v", "1"]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # cones prints as it goes, but only once the atoms pass
     assert err.count("error: the center does not split into 2 certified atoms at tol 1e-09") == 2
     # classify reports the failed certificate instead of refusing
     code, out = run(capsys, "classify", fixture("d2.tro"))
@@ -510,4 +580,12 @@ def test_checkmap_of_the_identity_on_m12_runs_within_1_gb(tmp_path):
     proc = run_within_1_gb("--max-level", "4", "checkmap", str(doc))
     assert proc.returncode == 0, proc.stderr
     assert report_value(proc.stdout, "domain-dim") == "144"
+    assert report_value(proc.stdout, "result") == "pass"
+
+
+def test_meet_of_d12_runs_within_1_gb(tmp_path):
+    # a cap corner: 531441 tripotents, checked against the meet a chunk
+    # of sign rows at a time
+    proc = run_within_1_gb("meet", diagonal_document(tmp_path, 12), "--u", "0", "--v", "531440")
+    assert proc.returncode == 0, proc.stderr
     assert report_value(proc.stdout, "result") == "pass"

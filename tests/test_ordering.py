@@ -760,6 +760,8 @@ def test_leq_table_in_chunks(monkeypatch):
     z = diagonal_tro(3)
     trips = enumerate_central_tripotents(z)
     whole = leq_table(trips, trips[:3])
-    monkeypatch.setattr("trokit.tripotents._STACK_CHUNK", 4 * 3 * 9)
+    # four tripotents a chunk: 3 products of 3 x 3 complex matrices each
+    monkeypatch.setattr("trokit.tripotents._CHUNK_BYTES", 4 * 3 * 9 * 16)
     assert np.array_equal(leq_table(trips, trips[:3]), whole)
+    assert np.array_equal(leq_table(np.stack([tp.u for tp in trips]), trips[:3]), whole)
     assert leq_table([], trips[:3]).shape == (3, 0)

@@ -45,6 +45,7 @@ from trokit import tripotents as tripotents_module
 from trokit.tripotents import _is_sign_cube, _sort_key
 
 from hosts import block_host, corner_tro, diagonal_tro, full_matrix_tro
+from oracles import atoms_certificate_loop, block_units
 
 
 def test_is_selfadjoint_tripotent_examples():
@@ -302,6 +303,35 @@ def test_atoms_certificate_rejects_non_orthogonal_atoms():
     assert not atoms_certificate([e1, e1 + e2], z)
     assert not atoms_certificate([e1], z)  # one atom cannot span a 2-dim center
     assert not atoms_certificate([e1, 2 * e2], z)  # not a tripotent
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda ds: 2 <= sum(ds) <= 6),
+       conjugate=st.booleans(), tol=st.floats(-12, -3), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_atom_certificate_agrees_with_the_loop(dims, conjugate, tol, seed):
+    # block hosts, conjugated by a random unitary or not; the stack must
+    # accept their atoms as the loop does, and refute four planted faults
+    rng = np.random.default_rng(seed)
+    d = sum(dims)
+    gens = block_units(dims)
+    if conjugate:
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        gens = [q @ g @ q.conj().T for g in gens]
+    z = closure_from_generators(gens, dim=d, tol=10.0 ** tol)
+    atoms = center_atoms(z).atoms()
+    assert len(atoms) == len(dims)
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    line = np.outer(x, x.conj()) / np.vdot(x, x).real  # a rank-one projection
+    faults = [
+        atoms[:-1],  # one atom short
+        [line] + atoms[1:],  # a Hermitian tripotent outside the center
+        [(1 + 10 * z.tol.eps) * atoms[0]] + atoms[1:],  # not a tripotent
+    ]
+    if len(atoms) > 1:  # central tripotents, but a_0 (a_0 + a_1) = a_0
+        faults.append([atoms[0], atoms[0] + atoms[1]] + atoms[2:])
+    verdicts = [atoms_certificate(a, z) for a in [atoms] + faults]
+    assert verdicts == [atoms_certificate_loop(a, z) for a in [atoms] + faults]
+    assert verdicts == [True] + [False] * len(faults)
 
 
 def _pairwise_closed(signs) -> tuple[bool, bool]:
@@ -624,6 +654,17 @@ def test_order_keys_imaginary_parts_rounds_and_keeps_ties():
     assert signs == [tp.signs for tp in _central_tripotents_loop(None, atoms)]
     assert signs.index((1, 1, 0, 0)) < signs.index((0, 0, 1, 0))
     assert signs.index((0, 0, 0, 1)) == signs.index((0, 0, 1, 0)) - 1
+
+
+def test_stack_in_row_chunks_is_bitwise_the_whole_stack(monkeypatch):
+    # dense complex projectors, and seven rows a chunk, so the last is short
+    atoms = center_atoms(_conjugated(block_host(2, 1, 1), 11))
+    signs = atoms.sorted_signs()
+    whole = atoms.stack(signs)
+    monkeypatch.setattr(tripotents_module, "_CHUNK_BYTES", 7 * whole[0].nbytes)
+    chunked = atoms.stack(signs)
+    assert np.array_equal(chunked, whole)
+    assert np.array_equal(np.signbit(chunked.view(float)), np.signbit(whole.view(float)))
 
 
 def test_classify_builds_one_tripotent_matrix(monkeypatch):
