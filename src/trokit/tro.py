@@ -229,7 +229,9 @@ def closure_from_generators(generators: Sequence[np.ndarray], dim: int | None = 
                             tol: Tolerance | float | None = None) -> Tro:
     """Smallest *-TRO containing the generators.
 
-    Starts from the span of the generators and their adjoints.  Each
+    Starts from the span of the generators and their adjoints, and adds
+    the adjoints of its basis where that span is not selfadjoint (at the
+    cutoff's scale a direction can survive without its adjoint).  Each
     round computes the square of the current span once and checks the
     products of its basis with the span's basis, with the bound of
     :func:`is_ternary_closed`, and adjoins only the products that fail.
@@ -245,6 +247,11 @@ def closure_from_generators(generators: Sequence[np.ndarray], dim: int | None = 
         raise ValueError("ambient dimension required for an empty generator list")
     d = dim if dim is not None else gens[0].shape[0]
     space = orthonormalize(gens + [adjoint(g) for g in gens], dim=d, tol=t)
+    if not is_selfadjoint_space(space, t):
+        # generators at the cutoff's scale: rounding can keep a direction
+        # and drop its adjoint; the unit basis and its adjoints span the
+        # selfadjoint hull with every singular value at least 1
+        space = orthonormalize(np.concatenate([space.onb, adjoint(space.onb)]), dim=d, tol=t)
     while True:
         square = _square_of(space, t)
         failing = _open_triples(space, t, square)

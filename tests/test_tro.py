@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trokit import (
@@ -349,11 +349,10 @@ def test_closure_computes_one_square_per_round(monkeypatch, rng):
     assert squares[-2:] == passes[-2:] == [4, 4]
 
 
-@pytest.mark.xfail(raises=TroError, reason="orthonormalize cuts at eps * max(1, s_max), so "
-                   "a cluster of equal singular values at the cutoff splits (ROADMAP item 4)")
 def test_closure_at_the_cutoff_keeps_the_adjoint():
     # the seed span{g, g*} is selfadjoint by construction; all its
-    # singular values equal the cutoff 1e-3, and rounding keeps 2 of 6
+    # singular values equal the cutoff 1e-3, rounding keeps 2 of 6, and
+    # the closure adds their adjoints
     e = random_projection(4, 3, np.random.default_rng(1))
     gens = [1e-3 * e @ matrix_unit(4, i, j) @ (np.eye(4) - e) for i in range(4) for j in range(4)]
     assert closure_from_generators(gens, dim=4, tol=1e-3).dim in (0, 6)
@@ -427,9 +426,11 @@ def _open_triples_loop(space, t: Tolerance) -> np.ndarray:
 
 
 def _closure_invariants_loop(gens: list[np.ndarray], d: int, t: Tolerance):
-    """Closure by triple rounds, with the center from one commutator
-    block per square element."""
+    """Closure by triple rounds from the selfadjoint hull of the span of
+    the generators and their adjoints, with the center from one
+    commutator block per square element."""
     space = orthonormalize(gens + [g.conj().T for g in gens], dim=d, tol=t)
+    space = orthonormalize(list(space.basis()) + [b.conj().T for b in space.basis()], dim=d, tol=t)
     while True:
         failing = _open_triples_loop(space, t)
         if failing.shape[0] == 0:
@@ -455,6 +456,9 @@ def _closure_invariants_loop(gens: list[np.ndarray], d: int, t: Tolerance):
        scale=st.floats(-4, 4),
        tol=st.floats(-12, -3),
        seed=st.integers(0, 2 ** 32 - 1))
+# generators exactly at the cutoff's scale: all four singular values of
+# the corner's span tie with the cutoff, and rounding keeps one of them
+@example(kind="corner", dims=[2], conjugate=0, scale=-3.375, tol=-3.375, seed=0)
 def test_square_certificate_agrees_with_the_triple_loop(kind, dims, conjugate, scale, tol, seed):
     rng = np.random.default_rng(seed)
     if kind == "corner" and len(dims) == 1:
