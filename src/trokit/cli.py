@@ -47,13 +47,11 @@ from .commutative import (
 )
 from .linalg import Tolerance, adjoint, as_matrix
 from .morphisms import LinearMap, _morphism_pass, cp_refutation
-from .ordering import classify
+from .ordering import MAX_MATRIX_LEVEL, classify
 from .tripotents import (
     BlockCapError,
     Tripotent,
     _certified_atoms,
-    _sign_chunks,
-    _sign_stack,
     leq,
     leq_table,
     meet,
@@ -66,8 +64,8 @@ __all__ = ["main", "InputDocument", "ParseError", "parse_document", "format_matr
 # took 9-10 s at 270 MB peak resident on one thread of a 2-core Xeon VM.
 # The discrete space on n points has 2^n opens: CLI commutative took
 # 0.13 s at 40 MB on 10 points and 0.5 s at 49 MB on 12, on the same VM.
-# Above 12 points its embedded classify would split into more blocks
-# than --max-blocks allows, so one cap serves all three document kinds
+# One cap serves all three document kinds, and it keeps every center
+# within tripotents.MAX_ATOMS atoms
 MAX_DIM = 12
 
 
@@ -292,11 +290,10 @@ def _set_str(s: frozenset[int]) -> str:
     return "{" + " ".join(str(p) for p in sorted(s)) + "}"
 
 
-def cmd_classify(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
-                 max_blocks: int) -> int:
+def cmd_classify(doc: InputDocument, digest: str, tol: Tolerance, seed: int) -> int:
     z = _build_tro(doc, tol)
     rep = Report("classify", digest, tol, seed)
-    info = classify(z, max_blocks=max_blocks)
+    info = classify(z)
     rep.line(f"ambient-dim {info.ambient_dim}")
     rep.line(f"space-dim {info.space_dim}")
     rep.line(f"square-dim {info.square_dim}")
@@ -315,19 +312,17 @@ def cmd_classify(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     return rep.emit()
 
 
-def cmd_cones(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
-              max_blocks: int) -> int:
+def cmd_cones(doc: InputDocument, digest: str, tol: Tolerance, seed: int) -> int:
     z = _build_tro(doc, tol)
-    atoms = _certified_atoms(z, max_blocks)
+    atoms = _certified_atoms(z)
     signs = atoms.sorted_signs()
     rep = Report("cones", digest, tol, seed)
     rep.line(f"count {len(signs)}")
     # the atoms are certified, so nothing below refuses: print as it goes
     d, i = z.ambient_dim, 0
-    for chunk in _sign_chunks(z, signs):
-        rows = _format_stack(_sign_stack(z, atoms, chunk), tol)
-        # the one zero tripotent of a trivial center is not maximal
-        for k, full in enumerate((chunk.all(axis=1) & bool(atoms.count)).tolist()):
+    for chunk in atoms.chunks(signs):
+        rows = _format_stack(atoms.stack(chunk), tol)
+        for k, full in enumerate(atoms.full_support(chunk).tolist()):
             rep.line(f"tripotent {i} maximal {'true' if full else 'false'}")
             rep.lines.extend(rows[k * d:(k + 1) * d])
             i += 1
@@ -335,15 +330,14 @@ def cmd_cones(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     return rep.emit()
 
 
-def cmd_meet(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
-             max_blocks: int, iu: int, iv: int) -> int:
+def cmd_meet(doc: InputDocument, digest: str, tol: Tolerance, seed: int, iu: int, iv: int) -> int:
     z = _build_tro(doc, tol)
-    atoms = _certified_atoms(z, max_blocks)
+    atoms = _certified_atoms(z)
     signs = atoms.sorted_signs()
     if not (0 <= iu < len(signs) and 0 <= iv < len(signs)):
         raise ParseError(0, f"indices must lie in [0, {len(signs) - 1}]")
     rep = Report("meet", digest, tol, seed)
-    u, v = (Tripotent(x, True) for x in _sign_stack(z, atoms, signs[[iu, iv]]))
+    u, v = (Tripotent(x, True) for x in atoms.stack(signs[[iu, iv]]))
     w = meet(u, v, host=z)
     rep.line(f"index-u {iu}")
     rep.line(f"index-v {iv}")
@@ -353,15 +347,13 @@ def cmd_meet(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     rep.check("meet-leq-v", leq(w, v, tol))
     # checked against every tripotent's matrix, not its sign vector, so
     # the check does not assume the meet formula it tests
-    tables = (leq_table(_sign_stack(z, atoms, chunk), (u, v, w), tol)
-              for chunk in _sign_chunks(z, signs))
+    tables = (leq_table(atoms.stack(chunk), (u, v, w), tol) for chunk in atoms.chunks(signs))
     rep.check("meet-is-greatest-lower-bound",
               all(bool(np.all(bw | ~(bu & bv))) for bu, bv, bw in tables))
     return rep.emit()
 
 
-def cmd_commutative(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
-                    max_blocks: int) -> int:
+def cmd_commutative(doc: InputDocument, digest: str, tol: Tolerance, seed: int) -> int:
     try:
         space = FiniteInvolutiveSpace.build(doc.points, doc.tau, opens=doc.opens,
                                             discrete=doc.discrete)
@@ -397,7 +389,7 @@ def cmd_commutative(doc: InputDocument, digest: str, tol: Tolerance, seed: int,
     rep.check("inclusion-equivalence", incl_ok)
     if space.opens == frozenset(range(1 << space.n)):
         z = embed_as_tro(sections, tol)
-        info = classify(z, max_blocks=max_blocks)
+        info = classify(z)
         rep.line(f"embedded-cone-count {info.natural_cone_count}")
         rep.line(f"embedded-maximal-count {info.maximal_cone_count}")
         rep.check("embedding-crossval",
@@ -451,9 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (default 0)")
     parser.add_argument("--max-level", type=int, default=3,
-                        help="matrix level cap for positivity checks (max 4)")
-    parser.add_argument("--max-blocks", type=int, default=12,
-                        help="joint eigenblock cap for enumeration (max 12)")
+                        help=f"matrix level cap for positivity checks (max {MAX_MATRIX_LEVEL})")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("classify", "cones", "commutative", "checkmap"):
         s = sub.add_parser(name)
@@ -468,11 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    if not (0 < args.max_level <= 4):
-        print("error: --max-level must lie in 1..4", file=sys.stderr)
-        return 2
-    if not (0 < args.max_blocks <= 12):
-        print("error: --max-blocks must lie in 1..12", file=sys.stderr)
+    if not (0 < args.max_level <= MAX_MATRIX_LEVEL):
+        print(f"error: --max-level must lie in 1..{MAX_MATRIX_LEVEL}", file=sys.stderr)
         return 2
     try:
         tol = Tolerance(args.tol)
@@ -488,13 +475,13 @@ def main(argv: list[str] | None = None) -> int:
             raise ParseError(0, f"command {args.command} needs kind "
                                 f"{expected[args.command]}, got {doc.kind}")
         if args.command == "classify":
-            return cmd_classify(doc, digest, tol, args.seed, args.max_blocks)
+            return cmd_classify(doc, digest, tol, args.seed)
         if args.command == "cones":
-            return cmd_cones(doc, digest, tol, args.seed, args.max_blocks)
+            return cmd_cones(doc, digest, tol, args.seed)
         if args.command == "meet":
-            return cmd_meet(doc, digest, tol, args.seed, args.max_blocks, args.u, args.v)
+            return cmd_meet(doc, digest, tol, args.seed, args.u, args.v)
         if args.command == "commutative":
-            return cmd_commutative(doc, digest, tol, args.seed, args.max_blocks)
+            return cmd_commutative(doc, digest, tol, args.seed)
         if args.command == "checkmap":
             return cmd_checkmap(doc, digest, tol, args.seed, args.max_level)
         raise AssertionError("unreachable")

@@ -32,7 +32,6 @@ from .tripotents import (
     _is_sign_cube,
     _sort_key,
     center_atoms,
-    central_tripotents,
     meet,
 )
 
@@ -199,25 +198,23 @@ class ClassificationReport:
     meet_closed: bool
 
 
-def classify(z: Tro, max_blocks: int = 12) -> ClassificationReport:
+def classify(z: Tro) -> ClassificationReport:
     """Full ordering classification of a *-TRO.
 
     The center's atoms are computed once; the tripotents are their sign
     vectors, in enumeration order, and the maximal ones those with full
     support.  Every maximal tripotent has the support projection
     ``sum a_i^2``, so one decomposition, at the first of them, covers
-    all, and its matrix is the only one built; a trivial center
-    decomposes at its zero tripotent into ``({0}, Z)``.  Both lattice
-    verdicts follow from the atom certificate and the sign cube."""
-    atoms = center_atoms(z, max_blocks)
-    if atoms.count:
-        signs = atoms.sorted_signs()
-        maximal_indices = tuple(np.flatnonzero(signs.all(axis=1)).tolist())
-        at = Tripotent(atoms.matrix(signs[maximal_indices[0]]), True)
-    else:
-        [at] = central_tripotents(z, atoms)
-        signs, maximal_indices = [at.signs], ()
-    part, comp = decompose(z, at)
+    all, and its matrix is the only one built; a trivial center has none
+    and decomposes at its one tripotent, zero, into ``({0}, Z)``.  Both
+    lattice verdicts follow from the atom certificate and the sign cube."""
+    atoms = center_atoms(z)
+    signs = atoms.sorted_signs()
+    full = atoms.full_support(signs)
+    # argmax is the first maximal row, or row 0 when there is none
+    [u] = atoms.stack(signs[[np.argmax(full)]])
+    part, comp = decompose(z, Tripotent(u, True))
+    maximal_indices = tuple(np.flatnonzero(full).tolist())
     lattice = atoms.certified and _is_sign_cube(signs)
     return ClassificationReport(
         ambient_dim=z.ambient_dim,

@@ -18,7 +18,7 @@ The atom certificate alone certifies every listed sign sum; a center
 whose atoms fail it is refused with a :class:`TroError`.  The cube is
 closed under negation and meet, so certified atoms plus one check that
 the listed vectors fill the cube decide both lattice properties.  The
-joint block count is capped to keep enumeration at desk scale.
+atom count is capped at ``MAX_ATOMS`` to keep enumeration at desk scale.
 
 The sign vectors are ordered by the rounded entries of their matrices
 without building those matrices: one stable ``lexsort`` over the entry
@@ -31,7 +31,7 @@ a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,9 +73,13 @@ _BLOCK_SEED = 0x5EED
 # and CLI cones on D_10 peaked at 63 MB resident with 1 MB and 84 with 4
 _CHUNK_BYTES = 1 << 20
 
+# at most 3^12 = 531441 sign vectors are listed.  Atoms are orthogonal, so
+# a center in M_d has at most d, and the CLI (d <= 12) never reaches this
+MAX_ATOMS = 12
+
 
 class BlockCapError(RuntimeError):
-    """Enumeration would exceed the configured block cap."""
+    """Enumeration would list the sign vectors of over ``MAX_ATOMS`` atoms."""
 
 
 def is_selfadjoint_tripotent(u: np.ndarray, tol: Tolerance | float | None = None) -> bool:
@@ -240,18 +244,20 @@ def central_blocks(z: Tro) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class CenterAtoms:
-    """The minimal central tripotents ("atoms") of a *-TRO.
+    """The minimal central tripotents ("atoms") of a *-TRO, and its
+    central tripotents as sign vectors over them.
 
-    ``projectors`` are the joint eigenblock projectors ``P_b`` in the
-    order of :func:`central_blocks`.  Row b of ``layout`` gives the sign
-    of block b in each atom: at most one entry is nonzero, and a zero row
-    marks a block on which the whole center vanishes.  Atom i is
+    ``projectors`` is the (m, d, d) array of the joint eigenblock
+    projectors ``P_b`` in the order of :func:`central_blocks`; a trivial
+    center has ``m = 0`` blocks and no atoms.  Row b of ``layout`` gives
+    the sign of block b in each atom: at most one entry is nonzero, and a
+    zero row marks a block on which the whole center vanishes.  Atom i is
     ``sum_b layout[b, i] P_b``; the central tripotent with sign vector
     ``eps`` is ``sum_b (layout @ eps)[b] P_b``.  ``certified`` records
     :func:`atoms_certificate` for the atoms.
     """
 
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
     layout: np.ndarray
     certified: bool
 
@@ -259,43 +265,51 @@ class CenterAtoms:
     def count(self) -> int:
         return int(self.layout.shape[1])
 
+    def chunks(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """Consecutive row slices of ``rows``, a stack of ~``_CHUNK_BYTES`` each."""
+        d = self.projectors.shape[-1]
+        step = max(1, _CHUNK_BYTES // (16 * max(1, d * d)))
+        for s in range(0, len(rows), step):
+            yield rows[s:s + step]
+
+    def full_support(self, signs: np.ndarray) -> np.ndarray:
+        """Which rows of an (n, count) sign matrix have no zero entry: the
+        maximal central tripotents; none over a trivial center."""
+        return signs.all(axis=1) & (self.count > 0)
+
     def stack(self, signs: np.ndarray) -> np.ndarray:
         """The block-order sums ``sum_b alpha_b P_b`` for the rows of an
-        (n, count) sign matrix, as an (n, d, d) stack.  Each sum starts
-        from zero and adds the blocks in order; ``alpha`` lies in
-        {-1, 0, 1}, so every product is exact and each row comes out
-        bitwise the same, zero signs included, whatever the other rows.
+        (n, count) sign matrix, as an (n, d, d) stack, zero over a trivial
+        center.  Each sum starts from zero and adds the blocks in order;
+        ``alpha`` lies in {-1, 0, 1}, so every product is exact and each
+        row comes out bitwise the same, zero signs included, whatever the
+        other rows.
 
         A block is added only at the entries where its projector is
         nonzero: elsewhere the product is a signed zero, and adding one
         leaves every entry as it is, since a sum that starts from +0
-        never holds -0.  Rows are taken ``_CHUNK_BYTES`` of matrices at a
-        time, so no temporary is as large as the stack."""
-        alpha = np.reshape(signs, (-1, self.count)) @ self.layout.T + 0.0
-        d = self.projectors[0].shape[0]
-        flat = [p.ravel() for p in self.projectors]
+        never holds -0.  Rows are taken a :meth:`chunks` slice at a time,
+        so no temporary is as large as the stack."""
+        alpha = signs @ self.layout.T + 0.0
+        m, d = len(self.projectors), self.projectors.shape[-1]
+        flat = self.projectors.reshape(m, d * d)
         live = [np.flatnonzero(p) for p in flat]
         out = np.zeros((len(alpha), d * d), dtype=complex)
-        step = max(1, _CHUNK_BYTES // (16 * d * d))
-        for s in range(0, len(out), step):
-            rows = out[s:s + step]
-            for a, p, j in zip(alpha[s:s + step].T, flat, live):
+        for rows, part in zip(self.chunks(out), self.chunks(alpha)):
+            for a, p, j in zip(part.T, flat, live):
                 rows[:, j] += a[:, None] * p[j]
-        return out.reshape(-1, d, d)
-
-    def matrix(self, eps: tuple[int, ...] | np.ndarray) -> np.ndarray:
-        """The block-order sum ``sum_b alpha_b P_b`` for a sign vector."""
-        return self.stack(np.asarray(eps, dtype=float))[0]
+        return out.reshape(len(out), d, d)
 
     def atoms(self) -> list[np.ndarray]:
-        return list(self.stack(np.eye(self.count, dtype=int))) if self.count else []
+        return list(self.stack(np.eye(self.count, dtype=int)))
 
     def sorted_signs(self, maximal: bool = False) -> np.ndarray:
         """The sign vectors over the atoms, one row each and only the
         full-support ones when ``maximal``, in the order of
         :func:`_sort_key` of their matrices; ties keep the order of
         ``itertools.product``.  Without atoms, the one empty vector (the
-        zero tripotent) and no full-support one.
+        zero tripotent) and no full-support one.  Raises
+        :class:`BlockCapError` above ``MAX_ATOMS`` atoms.
 
         That key is the real parts and then the imaginary parts of the
         entries, rounded.  A column in which every projector is zero is
@@ -304,23 +318,30 @@ class CenterAtoms:
         :meth:`stack`, so its values are those of the matrix entries up
         to the sign of zero, which the rounding erases.  One stable
         ``lexsort`` over the columns, last key first, is then the stable
-        sort by the key tuples."""
+        sort by the key tuples.  Keys are summed a :meth:`chunks` slice at
+        a time."""
         vals = np.array((-1, 1) if maximal else (-1, 0, 1), dtype=np.int8)
         k, c = len(vals), self.count
-        if c == 0:
-            return np.zeros((0 if maximal else 1, 0), dtype=np.int8)
+        if c > MAX_ATOMS:
+            raise BlockCapError(f"the center has {c} atoms; at most {MAX_ATOMS} are enumerated")
         index = np.arange(k ** c)
         codes = np.empty((len(index), c), dtype=np.int8)
         for i in range(c):  # the last position varies fastest
             codes[:, i] = vals[index // k ** (c - 1 - i) % k]
-        alpha = codes @ self.layout.T + 0.0
-        flat = np.reshape(self.projectors, (len(self.projectors), -1))
+        codes = codes[self.full_support(codes)] if maximal else codes
+        m, d = len(self.projectors), self.projectors.shape[-1]
+        flat = self.projectors.reshape(m, d * d)
         parts = np.concatenate([flat.real, flat.imag], axis=1)
         live = parts[:, parts.any(axis=0)]
-        keys = np.zeros((len(codes), live.shape[1]))
-        for a, row in zip(alpha.T, live):
-            keys += a[:, None] * row
-        return codes[np.lexsort(_round_key(keys).T[::-1])]
+        # a key a row for the lexsort, which needs one: zeros without blocks
+        keys = np.zeros((max(1, live.shape[1]), len(codes)))
+        for out, part in zip(self.chunks(keys.T), self.chunks(codes)):
+            alpha = part @ self.layout.T + 0.0
+            acc = np.zeros(out.shape)
+            for a, row in zip(alpha.T, live):
+                acc += a[:, None] * row
+            out[...] = _round_key(acc)
+        return codes[np.lexsort(keys[::-1])]
 
 
 def atoms_certificate(atoms: list[np.ndarray], z: Tro) -> bool:
@@ -366,7 +387,7 @@ def _uncertifiable(z: Tro) -> TroError:
                     f"atoms at tol {z.tol.eps:g}")
 
 
-def center_atoms(z: Tro, max_blocks: int = 12) -> CenterAtoms:
+def center_atoms(z: Tro) -> CenterAtoms:
     """Group the joint eigenblocks of the center into its atoms.
 
     Every central element is a scalar on each block; two blocks belong
@@ -377,15 +398,14 @@ def center_atoms(z: Tro, max_blocks: int = 12) -> CenterAtoms:
     The family is the real and imaginary parts of the center's
     orthonormal basis, so its values on a block are those of
     ``trace(Q* c Q) / rank`` for each basis element c, and
-    :func:`central_blocks` alone forms it.
+    :func:`central_blocks` alone forms it.  A trivial center has no
+    blocks, so its one tripotent is the zero matrix.
     """
+    d = z.ambient_dim
     if z.center.dim == 0:
-        return CenterAtoms((), np.zeros((0, 0), dtype=int), True)
+        return CenterAtoms(np.zeros((0, d, d), dtype=complex), np.zeros((0, 0), dtype=int), True)
     blocks = central_blocks(z)
     m = len(blocks)
-    if m > max_blocks:
-        raise BlockCapError(
-            f"center splits into {m} joint eigenblocks; cap is {max_blocks}")
     onb = z.center.onb
     vals = np.array([np.trace(q.conj().T @ onb @ q, axis1=1, axis2=2) / q.shape[1]
                      for q in blocks])
@@ -409,20 +429,19 @@ def center_atoms(z: Tro, max_blocks: int = 12) -> CenterAtoms:
     if len(reps) != z.center.dim:
         raise _uncertifiable(z)
     layout = layout[:, :len(reps)]
-    projectors = tuple(q @ q.conj().T for q in blocks)
+    projectors = np.array([q @ q.conj().T for q in blocks])
     atoms = CenterAtoms(projectors, layout, False).stack(np.eye(len(reps)))
     return CenterAtoms(projectors, layout, atoms_certificate(atoms, z))
 
 
-def _certified_atoms(z: Tro, max_blocks: int) -> CenterAtoms:
-    atoms = center_atoms(z, max_blocks)
+def _certified_atoms(z: Tro) -> CenterAtoms:
+    atoms = center_atoms(z)
     if not atoms.certified:
         raise _uncertifiable(z)
     return atoms
 
 
-def central_tripotents(z: Tro, atoms: CenterAtoms,
-                       maximal: bool = False) -> list[Tripotent]:
+def central_tripotents(atoms: CenterAtoms, maximal: bool = False) -> list[Tripotent]:
     """The sign sums over the given atoms, each carrying its sign vector;
     only the full-support ones when ``maximal``.  Sorted by rounded
     matrix entries.  None is certified on its own: ``atoms.certified``
@@ -430,32 +449,19 @@ def central_tripotents(z: Tro, atoms: CenterAtoms,
     signs = atoms.sorted_signs(maximal)
     # one stack; each tripotent holds a view into it
     return [Tripotent(u, True, tuple(eps))
-            for u, eps in zip(_sign_stack(z, atoms, signs), signs.tolist())]
+            for u, eps in zip(atoms.stack(signs), signs.tolist())]
 
 
-def _sign_stack(z: Tro, atoms: CenterAtoms, signs: np.ndarray) -> np.ndarray:
-    """``atoms.stack(signs)``, and zero matrices over a trivial center."""
-    if atoms.count:
-        return atoms.stack(signs)
-    return np.zeros((len(signs), z.ambient_dim, z.ambient_dim), dtype=complex)
-
-
-def _sign_chunks(z: Tro, signs: np.ndarray) -> list[np.ndarray]:
-    """Consecutive row slices of a sign matrix, each of whose stacks
-    takes about ``_CHUNK_BYTES``."""
-    step = max(1, _CHUNK_BYTES // (16 * z.ambient_dim ** 2))
-    return [signs[s:s + step] for s in range(0, len(signs), step)]
-
-
-def enumerate_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:
+def enumerate_central_tripotents(z: Tro) -> list[Tripotent]:
     """All selfadjoint tripotents in the center of z, zero included:
     the ``3^dim(center)`` sign vectors over the atoms.  Raises
-    :class:`TroError` unless the atoms are certified.
+    :class:`TroError` unless the atoms are certified, and
+    :class:`BlockCapError` above ``MAX_ATOMS`` atoms.
 
     Deterministic: the result is sorted by rounded matrix entries, so
     indices are stable across runs and platforms.
     """
-    return central_tripotents(z, _certified_atoms(z, max_blocks))
+    return central_tripotents(_certified_atoms(z))
 
 
 def _is_sign_cube(signs: Sequence[tuple[int, ...]] | np.ndarray) -> bool:
@@ -488,7 +494,7 @@ def _sort_key(u: np.ndarray) -> tuple:
     return tuple(_round_key(np.concatenate([flat.real, flat.imag])).tolist())
 
 
-def maximal_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:
+def maximal_central_tripotents(z: Tro) -> list[Tripotent]:
     """Central tripotents acting as a unit on the center: the sign
     vectors with full support.  These are exactly the maximal elements
     of the tripotent order whenever the center is nonzero; for a trivial
@@ -496,4 +502,4 @@ def maximal_central_tripotents(z: Tro, max_blocks: int = 12) -> list[Tripotent]:
     generates no ordering).  Raises :class:`TroError` as
     :func:`enumerate_central_tripotents` does.
     """
-    return central_tripotents(z, _certified_atoms(z, max_blocks), maximal=True)
+    return central_tripotents(_certified_atoms(z), maximal=True)

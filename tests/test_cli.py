@@ -338,13 +338,6 @@ def test_commutative_discrete_ten_points(capsys, tmp_path):
     assert "check inclusion-equivalence pass" in out
 
 
-def test_commutative_respects_max_blocks(capsys):
-    # the embedded classify splits disc4 into 4 joint blocks
-    code = main(["--max-blocks", "3", "commutative", fixture("disc4.cfs")])
-    capsys.readouterr()
-    assert code == 2
-
-
 def test_commutative_indiscrete(capsys):
     code, out = run(capsys, "commutative", fixture("indiscrete2.cfs"))
     assert code == 0
@@ -469,7 +462,7 @@ def test_missing_file_is_usage_error(capsys):
 
 def test_flag_validation(capsys):
     assert main(["--max-level", "9", "checkmap", fixture("identity.map")]) == 2
-    assert main(["--max-blocks", "0", "classify", fixture("d2.tro")]) == 2
+    assert "error: --max-level must lie in 1..4" in capsys.readouterr().err
     assert main(["--tol", "-1.0", "classify", fixture("d2.tro")]) == 2
     capsys.readouterr()
 

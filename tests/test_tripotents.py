@@ -132,9 +132,35 @@ def test_trivial_center_cases():
     assert maximal_central_tripotents(corner) == []
 
 
+@pytest.mark.parametrize("host, dims", [
+    (lambda: closure_from_generators([], dim=0), (0, 0)),
+    (lambda: closure_from_generators([], dim=2), (0, 0)),
+    (lambda: corner_tro(3), (0, 4)),
+])
+def test_trivial_center_is_one_zero_tripotent(host, dims):
+    # the zero spaces of ambient dim 0 and 2 and a corner: one natural
+    # cone, at the zero matrix, no maximal one, and no joint block
+    z = host()
+    d = z.ambient_dim
+    info = classify(z)
+    assert (info.natural_cone_count, info.maximal_cone_count, info.maximal_indices) == (1, 0, ())
+    assert (info.decomposition_dims, info.block_count, info.unorderable) == (dims, 0, True)
+    assert info.negation_closed and info.meet_closed
+    [zero] = enumerate_central_tripotents(z)
+    assert (zero.signs, zero.is_central, zero.has_full_support) == ((), True, False)
+    assert np.array_equal(zero.u, np.zeros((d, d), dtype=complex))
+    assert maximal_central_tripotents(z) == []
+
+
 def test_block_cap_raises():
-    with pytest.raises(BlockCapError):
-        enumerate_central_tripotents(diagonal_tro(4), max_blocks=3)
+    # the atoms of D_13 are found and certified; only listing their 3^13
+    # sign vectors is refused
+    z = diagonal_tro(13)
+    atoms = center_atoms(z)
+    assert (atoms.count, atoms.certified) == (13, True)
+    for enumerate_ in (enumerate_central_tripotents, maximal_central_tripotents, classify):
+        with pytest.raises(BlockCapError):
+            enumerate_(z)
 
 
 def test_negation_symmetry():
@@ -599,7 +625,7 @@ def _assert_enumeration_matches_loop(z) -> None:
             classify(z)
         return
     for maximal in (False, True):
-        got = central_tripotents(z, atoms, maximal=maximal)
+        got = central_tripotents(atoms, maximal=maximal)
         want = _central_tripotents_loop(z, atoms, maximal=maximal)
         assert [tp.signs for tp in got] == [tp.signs for tp in want]
         for a, b in zip(got, want):
@@ -640,7 +666,7 @@ def test_order_keys_imaginary_parts_rounds_and_keeps_ties():
     # projectors onto (1, i) and (1, -i): equal real parts, so the
     # imaginary parts order their sign sums
     p, q = (np.array([[0.5, -0.5j * s], [0.5j * s, 0.5]]) for s in (1, -1))
-    atoms = CenterAtoms((p, q), np.eye(2, dtype=int), True)
+    atoms = CenterAtoms(np.array([p, q]), np.eye(2, dtype=int), True)
     signs = [tuple(e) for e in atoms.sorted_signs().tolist()]
     assert signs == [tp.signs for tp in _central_tripotents_loop(None, atoms)]
     assert signs.index((1, 0)) < signs.index((0, 1))
@@ -648,7 +674,7 @@ def test_order_keys_imaginary_parts_rounds_and_keeps_ties():
     # their entries: 0.1 + 0.2 and 0.3 tie once rounded, so the second
     # entry puts (1, 1, 0, 0) first, and the last two blocks are equal, so
     # their sums tie and keep the order of itertools.product
-    blocks = tuple(np.diag(v).astype(complex) for v in ([0.1, 0], [0.2, 0], [0.3, 1], [0.3, 1]))
+    blocks = np.array([np.diag(v).astype(complex) for v in ([0.1, 0], [0.2, 0], [0.3, 1], [0.3, 1])])
     atoms = CenterAtoms(blocks, np.eye(4, dtype=int), True)
     signs = [tuple(e) for e in atoms.sorted_signs().tolist()]
     assert signs == [tp.signs for tp in _central_tripotents_loop(None, atoms)]
@@ -662,6 +688,7 @@ def test_stack_in_row_chunks_is_bitwise_the_whole_stack(monkeypatch):
     signs = atoms.sorted_signs()
     whole = atoms.stack(signs)
     monkeypatch.setattr(tripotents_module, "_CHUNK_BYTES", 7 * whole[0].nbytes)
+    assert np.array_equal(atoms.sorted_signs(), signs)
     chunked = atoms.stack(signs)
     assert np.array_equal(chunked, whole)
     assert np.array_equal(np.signbit(chunked.view(float)), np.signbit(whole.view(float)))
@@ -678,7 +705,7 @@ def test_classify_builds_one_tripotent_matrix(monkeypatch):
         rows.append(len(out))
         return out
 
-    monkeypatch.setattr(ordering_module, "center_atoms", lambda z, max_blocks: atoms)
+    monkeypatch.setattr(ordering_module, "center_atoms", lambda z: atoms)
     monkeypatch.setattr(CenterAtoms, "stack", counting)
     info = classify(z)
     assert rows == [1]
@@ -712,3 +739,17 @@ def test_classify_of_d10_stays_within_32_mb():
         tracemalloc.stop()
     assert (info.natural_cone_count, info.maximal_cone_count) == (3 ** 10, 2 ** 10)
     assert peak < 32 * 2 ** 20
+
+
+def test_sorted_signs_of_d11_stays_within_32_mb():
+    # the keys are summed and rounded a chunk of rows at a time; with the
+    # whole 177147 x 11 key array summed at once the peak was 52 MB
+    atoms = center_atoms(diagonal_tro(11))
+    tracemalloc.start()
+    try:
+        signs = atoms.sorted_signs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert signs.shape == (3 ** 11, 11)
+    assert peak <= 32 * 2 ** 20
