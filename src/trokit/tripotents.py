@@ -333,7 +333,8 @@ class CenterAtoms:
         flat = self.projectors.reshape(m, d * d)
         parts = np.concatenate([flat.real, flat.imag], axis=1)
         live = parts[:, parts.any(axis=0)]
-        # a key a row for the lexsort, which needs one: zeros without blocks
+        # one key per row for the lexsort, which needs at least one: a row
+        # of zeros when there are no blocks
         keys = np.zeros((max(1, live.shape[1]), len(codes)))
         for out, part in zip(self.chunks(keys.T), self.chunks(codes)):
             alpha = part @ self.layout.T + 0.0
